@@ -5586,7 +5586,7 @@ def _bucket_histogram_oracle_sql() -> str:
 
 def _q_bucket_histogram(sf_dir: str):
     """LSH bucket-size histogram (near_dedup.bucket_size_histogram) —
-    the driver-visible skew measurement behind hot-bucket salting: at
+    the driver-visible skew measurement of the candidate index: at
     default config the corpus must show a long size-1 tail plus the
     planted duplicate buckets.  The oracle rebuilds buckets as
     (band, sub-signature-tuple) groups from the shared OPH signature

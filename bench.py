@@ -256,7 +256,7 @@ def run_bench() -> dict:
 
     # untimed guard: the 43-bit truncated hash must not collide, or two
     # urls' paragraph streams silently merge in the benchmark numbers
-    # (birthday bound is ~15% at the 2.4M-doc scaling corpus)
+    # (birthday bound is ~28% at the 2.4M-doc scaling corpus)
     def _assert_unique_doc_ids():
         import numpy as np
 

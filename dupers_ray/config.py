@@ -41,7 +41,6 @@ class MinHashConfig:
     rows: int = 4
     seed: int = 42
     jaccard_threshold: float = 0.6   # signature-estimated Jaccard to keep a pair
-    max_bucket_size: int = 500       # cap on docs per LSH bucket (skew guard); drops logged
     # "oph": one-permutation MinHash with rotation densification (one pass
     # over shingles — ~50x faster than num_perm universal hashes; published
     # method: Li/Owen/Zhang 2012, Shrivastava&Li 2014). "universal": classic

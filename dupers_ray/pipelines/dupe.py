@@ -2,10 +2,11 @@
 
 Logical DAG (SURVEY.md §3.1 "engine shape"):
 
-    read pages → [extract_text → drop html] → digest →
-        exact edges   (groupby digest_u64 → star pairs)            [shuffle 1]
-        near edges    (MinHash actor pool → LSH bucket groupby →
-                       verify joins)                               [shuffles 2-4]
+    read pages → [extract_text → drop html] →
+        ONE fused scan: MinHash signature + SHA-256 digest per doc →
+        ONE pass over the signature table into the sharded bucket index
+        (stages/bucket_index.py): LSH band buckets + exact-digest buckets
+        → LSH pairs Jaccard-verified, exact pairs trusted
     → union edge lists → connected components → (url, cluster_id)
 
 Every input row gets a cluster assignment; rows in no dup relation keep
@@ -17,7 +18,6 @@ reference's walk-order "first match" (docs/README.md:198-201).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -26,9 +26,7 @@ import ray.data
 from dupers_ray.config import DedupConfig
 from dupers_ray.functions.hashing import node_ids
 from dupers_ray.pipelines.components import components
-from dupers_ray.pipelines.exact_dedup import exact_dupe_pairs
 from dupers_ray.pipelines.joins import hash_join
-from dupers_ray.pipelines.near_dedup import near_dup_edges
 
 
 def _url_to_node(batch: pa.Table, *, id_col: str) -> pa.Table:
@@ -42,68 +40,54 @@ def dupe_clusters(
     ds: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
-    include_exact: bool = True,
-    components_strategy: str = "auto",
-    concurrency=None,
     broadcast_limit: int = 5_000_000,
     mapping_ds: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """(id_col, cluster_id) for EVERY input row with non-null id.
 
+    One corpus scan computes signatures + digests; the tail is
+    ``dupe_clusters_from_sigs``.
+
     ``mapping_ds``: optional id-only dataset for the final assignment scan.
     Ray's optimizer does NOT push select_columns into read_parquet, so
     callers that read from parquet should pass
     ``read_parquet(paths, columns=[id_col])`` here (~3x cheaper scan)."""
+    from dupers_ray.pipelines.near_dedup import minhash_signatures
+
     cfg = cfg or DedupConfig()
-    id_col, text_col = cfg.id_col, cfg.text_col
-
-    if include_exact:
-        # fused fast path: one corpus scan computes sigs+digests; ONE more
-        # pass over the (compact) signature table feeds both the LSH and
-        # the exact-digest sharded indexes; LSH pairs get Jaccard-verified,
-        # exact pairs are trusted (2^-128 digest collision)
-        from dupers_ray.pipelines.near_dedup import minhash_signatures
-
-        sigs = minhash_signatures(
-            ds, shingle=cfg.shingle, minhash=cfg.minhash, id_col=id_col,
-            text_col=text_col, concurrency=concurrency, with_digests=True,
-        ).materialize()
-        # (no repartition: block coalescing only pays off ahead of sort
-        # AllToAlls, and the sharded-index path has none)
-        mapping_src = mapping_ds if mapping_ds is not None else ds.select_columns([id_col])
-        return dupe_clusters_from_sigs(
-            sigs, cfg,
-            components_strategy=components_strategy,
-            broadcast_limit=broadcast_limit,
-            mapping_ds=mapping_src,
-        )
-    else:
-        near_edges, sigs = near_dup_edges(
-            ds, shingle=cfg.shingle, minhash=cfg.minhash,
-            id_col=id_col, text_col=text_col, concurrency=concurrency,
-        )
-        edges = near_edges.select_columns(["src", "dst"])
-
-    # materialize the (small) edge list once: components consumes it several
-    # times (count for strategy choice + iteration); without this each
-    # consumption re-executes the whole LSH sub-DAG
-    edges = edges.materialize()
-    assign = components(edges, strategy=components_strategy)
-    src = mapping_ds if mapping_ds is not None else ds.select_columns([id_col])
-    mapping = src.map_batches(
-        _url_to_node, fn_kwargs={"id_col": id_col},
-        batch_format="pyarrow", zero_copy_batch=True,
+    sigs = minhash_signatures(
+        ds, shingle=cfg.shingle, minhash=cfg.minhash, id_col=cfg.id_col,
+        text_col=cfg.text_col, with_digests=True,
+    ).materialize()
+    return dupe_clusters_from_sigs(
+        sigs, cfg,
+        broadcast_limit=broadcast_limit,
+        mapping_ds=(mapping_ds if mapping_ds is not None
+                    else ds.select_columns([cfg.id_col])),
     )
-    return assign_clusters(
-        mapping, assign, id_col=id_col, broadcast_limit=broadcast_limit
+
+
+def _edges_from_sigs(
+    sigs: "ray.data.Dataset", cfg: DedupConfig,
+) -> "ray.data.Dataset":
+    """(src, dst) cluster edges from a fused signature table: ONE pass
+    feeds the sharded LSH + exact-digest indexes; LSH pairs get
+    Jaccard-verified, exact pairs are trusted (2^-128 digest collision).
+    The streaming and the checkpointed flagship both build edges here."""
+    from dupers_ray.pipelines.near_dedup import verify_pairs
+    from dupers_ray.stages.bucket_index import all_candidate_pairs_index
+
+    lsh_pairs, exact_pairs = all_candidate_pairs_index(
+        sigs, minhash=cfg.minhash, id_col=cfg.id_col
     )
+    near_edges = verify_pairs(lsh_pairs, sigs, minhash=cfg.minhash)
+    return near_edges.select_columns(["src", "dst"]).union(exact_pairs)
 
 
 def dupe_clusters_from_sigs(
     sigs: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
-    components_strategy: str = "auto",
     broadcast_limit: int = 5_000_000,
     mapping_ds: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
@@ -119,21 +103,13 @@ def dupe_clusters_from_sigs(
     ``mapping_ds``: rows to assign. If it already has a ``node`` column it
     is used as-is; an id-only dataset gets nodes derived per batch; None
     uses the signature table itself (ids with non-empty text)."""
-    from dupers_ray.pipelines.near_dedup import verify_pairs
-    from dupers_ray.stages.bucket_index import all_candidate_pairs_index
-
     cfg = cfg or DedupConfig()
     id_col = cfg.id_col
 
-    lsh_pairs, exact_pairs = all_candidate_pairs_index(
-        sigs, minhash=cfg.minhash, id_col=id_col
-    )
-    near_edges = verify_pairs(lsh_pairs, sigs, minhash=cfg.minhash)
-    edges = near_edges.select_columns(["src", "dst"]).union(exact_pairs)
     # materialize the (small) edge list once: components consumes it several
     # times (count for strategy choice + iteration)
-    edges = edges.materialize()
-    assign = components(edges, strategy=components_strategy)
+    edges = _edges_from_sigs(sigs, cfg).materialize()
+    assign = components(edges)
 
     src = mapping_ds if mapping_ds is not None else sigs
     names = src.schema().names
@@ -154,7 +130,6 @@ def dupe_clusters_incremental(
     stored_sigs: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
-    components_strategy: str = "auto",
     broadcast_limit: int = 5_000_000,
     known_broadcast_limit: int = 5_000_000,
     mapping_ds: "ray.data.Dataset | None" = None,
@@ -233,7 +208,6 @@ def dupe_clusters_incremental(
         mapping_ds = ds.select_columns([id_col])
     clusters = dupe_clusters_from_sigs(
         sigs, cfg,
-        components_strategy=components_strategy,
         broadcast_limit=broadcast_limit,
         mapping_ds=mapping_ds,
     )
@@ -318,18 +292,17 @@ def dupe_clusters_checkpointed(
     workdir: str,
     cfg: DedupConfig | None = None,
     *,
-    components_strategy: str = "auto",
     files_per_partition: int = 1,
 ) -> "ray.data.Dataset":
-    """Resumable flagship: same logical DAG as ``dupe_clusters``, but every
-    stage checkpoints to ``workdir`` with lineage manifests
+    """Resumable flagship: the same stage functions as ``dupe_clusters``,
+    but every stage checkpoints to ``workdir`` with lineage manifests
     (state/manifest.py). A killed run resumes without recomputing completed
     partitions/phases — the engine's `walkCompare`/bbolt analogue
     (pkg/dupe/dupe.go:940-966).
 
     Layout:
-        workdir/signatures/partition=K/   per-input-partition MinHash sigs
-        workdir/index/partition=K/        per-input-partition digest index
+        workdir/sig_digests/partition=K/  per-input-partition fused
+                                          signature + digest table
         workdir/edges/                    verified near + exact edge list
         workdir/clusters/                 final (id, cluster_id)
         workdir/_manifests/*.json         lineage + metrics
@@ -338,19 +311,13 @@ def dupe_clusters_checkpointed(
 
     import ray.data as rd
 
-    from dupers_ray.pipelines.near_dedup import (
-        candidate_pairs,
-        minhash_signatures,
-        verify_pairs,
-    )
-    from dupers_ray.stages.digest import digest_dataset
+    from dupers_ray.functions.hashing import KERNEL_VERSION
+    from dupers_ray.pipelines.near_dedup import minhash_signatures
     from dupers_ray.state.manifest import (
         read_partitioned,
         run_partitioned,
         run_phased,
     )
-
-    from dupers_ray.functions.hashing import KERNEL_VERSION
 
     cfg = cfg or DedupConfig()
     id_col, text_col = cfg.id_col, cfg.text_col
@@ -362,56 +329,25 @@ def dupe_clusters_checkpointed(
         (cfg.to_json() + "|" + KERNEL_VERSION).encode()
     ).hexdigest()[:16]
 
-    sig_dir = f"{workdir}/signatures"
+    # stage name and directory differ from the older digest-less
+    # "signatures" stage, so its partitions are recomputed, never read
+    sig_dir = f"{workdir}/sig_digests"
     sig_res = run_partitioned(
         input_files, sig_dir,
         lambda ds: minhash_signatures(
             ds, shingle=cfg.shingle, minhash=cfg.minhash,
-            id_col=id_col, text_col=text_col,
+            id_col=id_col, text_col=text_col, with_digests=True,
         ),
-        stage="signatures", config_fingerprint=cfg_fp,
+        stage="sig_digests", config_fingerprint=cfg_fp,
         files_per_partition=files_per_partition,
     )
-
-    idx_dir = f"{workdir}/index"
-    idx_res = run_partitioned(
-        input_files, idx_dir,
-        lambda ds: digest_dataset(ds, content_col=text_col).select_columns(
-            [id_col, "digest", "digest_u64"]
-        ),
-        stage="digest_index", config_fingerprint=cfg_fp,
-        files_per_partition=files_per_partition,
-    )
-    # changed inputs (same paths, new bytes) invalidate the wide phases too
-    upstream_fp = _hl.sha256(
-        (sig_res["fingerprint"] + idx_res["fingerprint"]).encode()
-    ).hexdigest()[:16]
 
     def edges_phase(_prev: dict) -> "ray.data.Dataset":
-        sigs = read_partitioned(sig_dir)
-        pairs = candidate_pairs(sigs, minhash=cfg.minhash, id_col=id_col, dedup=False)
-        near = verify_pairs(pairs, sigs, minhash=cfg.minhash).select_columns(
-            ["src", "dst"]
-        )
-        from dupers_ray.pipelines.exact_dedup import exact_dupe_pairs
-
-        ex = exact_dupe_pairs(
-            read_partitioned(idx_dir), id_col=id_col, content_col=text_col,
-            has_digests=True,
-        )
-
-        def to_nodes(t: pa.Table) -> pa.Table:
-            a = [str(v) for v in t.column(id_col).to_pylist()]
-            b = [str(v) for v in t.column(f"match_{id_col}").to_pylist()]
-            return pa.table(
-                {"src": pa.array(node_ids(a)), "dst": pa.array(node_ids(b))}
-            )
-
-        return near.union(ex.map_batches(to_nodes, batch_format="pyarrow"))
+        return _edges_from_sigs(read_partitioned(sig_dir), cfg)
 
     def clusters_phase(prev: dict) -> "ray.data.Dataset":
         edges = rd.read_parquet(prev["edges"])
-        assign = components(edges, strategy=components_strategy)
+        assign = components(edges)
         mapping = rd.read_parquet(
             list(input_files), columns=[id_col]
         ).map_batches(
@@ -420,8 +356,10 @@ def dupe_clusters_checkpointed(
         )
         return assign_clusters(mapping, assign, id_col=id_col)
 
+    # changed inputs (same paths, new bytes) invalidate the wide phases too
     out = run_phased(
         [("edges", edges_phase), ("clusters", clusters_phase)],
-        workdir, config_fingerprint=cfg_fp, upstream_fingerprint=upstream_fp,
+        workdir, config_fingerprint=cfg_fp,
+        upstream_fingerprint=sig_res["fingerprint"],
     )
     return rd.read_parquet(out["clusters"])

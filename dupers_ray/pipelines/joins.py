@@ -1,9 +1,7 @@
 """Hash-join helpers.
 
-Prefers the native ``Dataset.join`` (hash-partitioned, available in this
-Ray release); falls back to an explicit co-group join (tag sides, union,
-groupby key-hash, pandas merge per group) when the native operator can't
-express the shape. Both paths are one all-to-all shuffle.
+Every join is an explicit co-group join: tag both sides, union, group by
+key hash, join per group — one all-to-all shuffle.
 """
 
 from __future__ import annotations
@@ -23,31 +21,21 @@ def hash_join(
     right_on: str | None = None,
     num_partitions: int = 32,
     join_type: str = "inner",
-    impl: str = "cogroup",
     left_schema: "pa.Schema | None" = None,
     right_schema: "pa.Schema | None" = None,
     dedup_left: bool = False,
 ) -> "ray.data.Dataset":
-    """Default impl is the cogroup join: the native JoinOperator in this Ray
-    release RESERVES num-CPUs-worth of resources per join operator, so a DAG
-    with two chained joins deadlocks on small clusters (observed: two joins
-    each 'requiring 4 CPUs' on a 4-CPU local cluster → starved executor).
-    The cogroup path shares the normal task pool and streams.
+    """Cogroup join, not the native ``Dataset.join``: the native
+    JoinOperator in this Ray release RESERVES num-CPUs-worth of resources
+    per join operator, so a DAG with two chained joins deadlocks on small
+    clusters (observed: two joins each 'requiring 4 CPUs' on a 4-CPU local
+    cluster → starved executor). The cogroup path shares the normal task
+    pool and streams.
 
     Pass ``left_schema``/``right_schema`` when known: calling .schema() on a
     lazy Dataset EXECUTES its sub-DAG to infer types, which serializes the
     pipeline and double-runs shuffles."""
     right_on = right_on or on
-    if impl == "native":
-        if dedup_left:
-            raise ValueError("dedup_left requires the cogroup impl")
-        return left.join(
-            right,
-            join_type=join_type,
-            num_partitions=num_partitions,
-            on=(on,),
-            right_on=(right_on,),
-        )
     if join_type not in ("inner", "left_outer"):
         raise ValueError(f"cogroup join supports inner/left_outer, got {join_type}")
     return cogroup_join(

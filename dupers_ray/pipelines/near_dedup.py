@@ -4,22 +4,19 @@ signature-Jaccard verify → edge list.
 The scaled analogue of dupers' exact digest lookup (pkg/dupe/dupe.go:919-931)
 per BASELINE.json:north_rule. Pipeline shape (SURVEY.md §7.1 step 6):
 
-    signatures = ds.map_batches(MinHasher, concurrency=...)   # actor pool
-    bands      = signatures.map_batches(explode_bands)        # stateless
-    candidates = bands.groupby(band_id, band_hash)            # ONE shuffle
-                     .map_groups(star pairs, capped)
-    edges      = candidates dedup + verify (sig Jaccard >= cfg.threshold)
+    signatures = ds.map_batches(minhash)                      # stateless
+    candidates = candidate_pairs_index(signatures)            # no shuffle
+    edges      = verify (sig Jaccard >= cfg.threshold)
 
-Skew handling: LSH buckets of boilerplate pages can be huge. Each bucket
-emits STAR pairs (every member paired with the bucket's min node) — m-1
-pairs instead of m(m-2)/2 — which preserves connectivity for clustering,
-and a hard ``max_bucket_size`` cap bounds any single reducer; drops are
-counted in the emitted ``__dropped`` rows so callers can log them
-(no silent truncation).
+Candidates come from the sharded bucket index (stages/bucket_index.py):
+band rows are routed to shard actors, and each bucket emits STAR pairs
+(every member paired with the bucket's min node) — m-1 pairs instead of
+m(m-1)/2 — which preserves connectivity for clustering. Buckets are
+uncapped: a boilerplate bucket costs O(members) pairs inside one shard.
 
-Verification joins candidate pairs back to the signature dataset twice on
-the uint64 node id (hash joins — pairs are small next to the corpus) and
-keeps pairs with estimated Jaccard >= cfg.jaccard_threshold.
+Verification scores candidate pairs against the signature table — a
+broadcast lookup up to ~2M docs, else two hash joins on the uint64 node
+id — and keeps pairs with estimated Jaccard >= cfg.jaccard_threshold.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ import ray.data
 from dupers_ray.config import MinHashConfig, ShingleConfig
 from dupers_ray.functions.hashing import splitmix64
 from dupers_ray.pipelines.joins import hash_join
+from dupers_ray.stages.bucket_index import candidate_pairs_index
 from dupers_ray.stages.minhash import MinHasher, explode_bands
 
 logger = logging.getLogger(__name__)
@@ -161,270 +159,12 @@ def minhash_signatures(
     )
 
 
-def _bucket_pairs(g: pd.DataFrame, max_bucket_size: int) -> pd.DataFrame:
-    """LSH (sub-)bucket partition → star pairs, plus one ANCHOR row per
-    salted sub-bucket (kind=1, carrying band_hash) so a second, tiny
-    groupby can stitch a hot bucket's sub-buckets back together. Groups
-    arrive merged by coarse partition key; split by (band_hash, salt)."""
-    a_out: list[int] = []
-    b_out: list[int] = []
-    anch_a: list[int] = []
-    anch_bh: list[int] = []
-    dropped = 0
-    for (bh, salt), sub in g.groupby(["band_hash", "salt"], sort=False):
-        nodes = np.unique(sub["node"].to_numpy(dtype=np.uint64))
-        salted = bool(salt)  # salt>0 ⇒ member of a detected hot bucket
-        if len(nodes) > max_bucket_size:
-            dropped += len(nodes) - max_bucket_size
-            nodes = nodes[:max_bucket_size]  # deterministic: sorted by node id
-        anchor = int(nodes[0])
-        if salted:
-            anch_a.append(anchor)
-            anch_bh.append(int(bh))
-        if len(nodes) >= 2:
-            a_out.extend([anchor] * (len(nodes) - 1))
-            b_out.extend(int(n) for n in nodes[1:])
-    if dropped:
-        logger.warning("LSH bucket cap dropped %d members (skew guard)", dropped)
-    n_pairs, n_anch = len(a_out), len(anch_a)
-    return pd.DataFrame(
-        {
-            "src": pd.Series(a_out + anch_a, dtype=np.uint64),
-            "dst": pd.Series(b_out + [0] * n_anch, dtype=np.uint64),
-            "band_hash": pd.Series([0] * n_pairs + anch_bh, dtype=np.uint64),
-            "kind": pd.Series([0] * n_pairs + [1] * n_anch, dtype=np.int8),
-        }
-    )
+def _distinct_pairs(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
+    """Globally distinct (src, dst) rows: ONE groupby on a pair-hash
+    partition. The bucket index removes cross-band duplicates only within
+    a shard, so a consumer that counts pairs needs this extra pass."""
+    num_partitions = 256  # coarse groups; pairs dedup vectorized inside
 
-
-def _bucket_pairs_cold(g: pa.Table, max_bucket_size: int) -> pa.Table:
-    """Fast path for unsalted buckets: star pairs only, no anchor rows.
-    Vectorized over the whole partition (sort by band_hash, segment by
-    boundaries) instead of a per-bucket pandas loop. Arrow in/out so the
-    downstream union never mixes block types."""
-    bh = np.asarray(g.column("band_hash"), dtype=np.uint64)
-    node = np.asarray(g.column("node"), dtype=np.uint64)
-    order = np.lexsort((node, bh))
-    bh, node = bh[order], node[order]
-    # segment starts per bucket
-    new = np.r_[True, bh[1:] != bh[:-1]]
-    seg_id = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.r_[starts, len(bh)])
-    # drop duplicate nodes within a bucket (same doc seen twice can't happen
-    # per band, but be safe across merged groups)
-    # anchor per bucket = first (min) node of its segment
-    anchors = node[starts]
-    anchor_per_row = anchors[seg_id]
-    keep = node != anchor_per_row  # every non-anchor row pairs with anchor
-    sz_per_row = sizes[seg_id]
-    keep &= sz_per_row > 1
-    # cap: member rank within its segment must be < max_bucket_size
-    rank = np.arange(len(bh)) - starts[seg_id]
-    over = rank >= max_bucket_size
-    dropped = int(over.sum())
-    if dropped:
-        logger.warning("LSH bucket cap dropped %d members (skew guard)", dropped)
-    keep &= ~over
-    return pa.table(
-        {
-            "src": pa.array(anchor_per_row[keep]),
-            "dst": pa.array(node[keep]),
-        }
-    )
-
-
-def detect_hot_buckets(
-    bands: "ray.data.Dataset",
-    *,
-    batch_threshold: int = 4,
-    hot_threshold: int = 256,
-    top_k_per_batch: int = 64,
-) -> np.ndarray:
-    """Sorted uint64 array of band hashes whose buckets are HOT.
-
-    Sampling-free two-step: (1) per batch, count band_hash frequencies and
-    keep only hashes seen >= batch_threshold times (top_k per batch) — a
-    bucket of global size f appears ~f*B/N times in a B-row batch, so truly
-    hot buckets are caught with near-certainty while the suspected set
-    stays tiny; (2) sum suspected counts and keep >= hot_threshold. The
-    returned set is broadcast to the salting stage. Under-detection only
-    costs balance (the per-bucket cap still bounds memory), never
-    correctness."""
-
-    def suspects(t: pa.Table) -> pa.Table:
-        v = np.asarray(t.column("band_hash"), dtype=np.uint64)
-        uniq, cnt = np.unique(v, return_counts=True)
-        keep = cnt >= batch_threshold
-        uniq, cnt = uniq[keep], cnt[keep]
-        if len(uniq) > top_k_per_batch:
-            top = np.argsort(cnt)[::-1][:top_k_per_batch]
-            uniq, cnt = uniq[top], cnt[top]
-        # group key reinterpreted as int64: Ray's aggregate converts uint64
-        # keys above 2^63 through Python ints and falls back to pickled
-        # object blocks (OverflowError) — a silent 10x slowdown
-        return pa.table(
-            {
-                "band_hash": pa.array(uniq.view(np.int64)),
-                "cnt": pa.array(cnt.astype(np.int64)),
-            }
-        )
-
-    sus = bands.map_batches(suspects, batch_format="pyarrow", zero_copy_batch=True)
-    from ray.data.aggregate import Sum
-
-    agg = sus.groupby("band_hash").aggregate(Sum("cnt", alias_name="cnt"))
-    rows = agg.take_all()  # suspected set is small by construction
-    hot = np.array(
-        [r["band_hash"] for r in rows if r["cnt"] >= hot_threshold], dtype=np.int64
-    ).view(np.uint64)
-    hot.sort()
-    if len(hot):
-        logger.info("detected %d hot LSH buckets", len(hot))
-    return hot
-
-
-def candidate_pairs(
-    signatures: "ray.data.Dataset",
-    *,
-    minhash: MinHashConfig | None = None,
-    id_col: str = "url",
-    dedup: bool = True,
-    salt_buckets: int = 16,
-    hot_threshold: int | None = None,
-) -> "ray.data.Dataset":
-    """(src, dst) node-id candidate pairs from LSH buckets. src < dst is
-    NOT guaranteed (src is the bucket anchor = min). With dedup=False,
-    cross-band duplicate pairs remain — callers that feed the pairs into a
-    src-keyed join (verify_pairs) dedup there for free (dedup_left) and
-    skip this extra shuffle.
-
-    Skew handling (north rule): buckets detected as HOT are salted into
-    ``salt_buckets`` sub-buckets keyed (band_hash, 1 + node % S) so no
-    single shuffle partition holds a whole boilerplate bucket; each
-    sub-bucket emits member star pairs plus an anchor row, and a second,
-    TINY groupby over anchor rows stitches the sub-buckets together with
-    anchor star pairs. Every emitted pair — member or anchor — still goes
-    through Jaccard verification downstream, so salting never trades
-    precision."""
-    cfg = minhash or MinHashConfig()
-    num_partitions = 256  # coarse shuffle partitions; buckets sub-grouped inside
-    bands = signatures.map_batches(
-        explode_bands,
-        fn_kwargs={"bands": cfg.bands, "rows": cfg.rows, "id_col": id_col},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).select_columns(["band_hash", "node"])
-    # two consumers (hot detection, salting): materialize the slim 16-byte
-    # rows once rather than re-running the explode; at extreme scale where
-    # 32x-doc-count rows can't be pinned, flip to recompute-from-sigs
-    bands = bands.materialize()
-
-    hot = detect_hot_buckets(
-        bands, hot_threshold=hot_threshold or cfg.max_bucket_size
-    )
-    hot_ref = ray.put(hot)
-
-    def add_salt_and_part(t: pa.Table) -> pa.Table:
-        hot_ = ray.get(hot_ref)
-        bh = np.asarray(t.column("band_hash"), dtype=np.uint64)
-        node = np.asarray(t.column("node"), dtype=np.uint64)
-        if len(hot_):
-            pos = np.searchsorted(hot_, bh)
-            pos = np.clip(pos, 0, len(hot_) - 1)
-            is_hot = hot_[pos] == bh
-        else:
-            is_hot = np.zeros(len(bh), bool)
-        salt = np.where(
-            is_hot, 1 + (node % np.uint64(salt_buckets)).astype(np.int64), 0
-        )
-        with np.errstate(over="ignore"):
-            pk = splitmix64(bh + salt.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-        return pa.table(
-            {
-                "band_hash": t.column("band_hash"),
-                "node": t.column("node"),
-                "salt": pa.array(salt.astype(np.int64)),
-                "__part": pa.array((pk % np.uint64(num_partitions)).astype(np.int64)),
-            }
-        )
-
-    import pyarrow.compute as pc
-
-    salted = bands.map_batches(
-        add_salt_and_part, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    def star_pairs(ds):
-        return ds.groupby("__part").map_groups(
-            _bucket_pairs_cold,
-            fn_kwargs={"max_bucket_size": cfg.max_bucket_size},
-            batch_format="pyarrow",
-        )
-
-    if len(hot) == 0:
-        pairs = star_pairs(salted)
-    else:
-        # route hot-bucket rows (a small fraction: hot docs × bands) onto
-        # their own path so the main stream stays a single groupby and the
-        # anchor-stitch shuffle only ever touches the tiny hot subset
-        cold_pairs = star_pairs(
-            salted.map_batches(
-                lambda t: t.filter(pc.equal(t.column("salt"), 0)),
-                batch_format="pyarrow",
-            )
-        )
-        hot_rows = salted.map_batches(
-            lambda t: t.filter(pc.greater(t.column("salt"), 0)),
-            batch_format="pyarrow",
-        ).materialize()
-        hot_staged = (
-            hot_rows.groupby("__part")
-            .map_groups(
-                _bucket_pairs,
-                fn_kwargs={"max_bucket_size": cfg.max_bucket_size},
-                batch_format="pandas",
-            )
-            .materialize()  # tiny; consumed twice (member pairs + anchors)
-        )
-        hot_pairs = hot_staged.map_batches(
-            lambda t: t.filter(pc.equal(t.column("kind"), 0)).select(["src", "dst"]),
-            batch_format="pyarrow",
-        )
-
-        # stage 2: stitch hot sub-buckets — star pairs over the anchors.
-        # Anchor count is bounded by |hot| * salt_buckets (both driver-known
-        # and small), so this runs DRIVER-SIDE: an AllToAll operator costs
-        # ~seconds of pure scheduling even for a few hundred rows.
-        anchor_tbls = [
-            b.filter(pc.equal(b.column("kind"), 1))
-            for b in hot_staged.iter_batches(batch_format="pyarrow")
-        ]
-        anchor_tbls = [b for b in anchor_tbls if len(b)]
-        if anchor_tbls:
-            at = pa.concat_tables(anchor_tbls)
-            abh = np.asarray(at.column("band_hash"), dtype=np.uint64)
-            anode = np.asarray(at.column("src"), dtype=np.uint64)
-            order = np.lexsort((anode, abh))
-            abh, anode = abh[order], anode[order]
-            new = np.r_[True, abh[1:] != abh[:-1]]
-            seg = np.cumsum(new) - 1
-            starts = np.flatnonzero(new)
-            anchors_per_row = anode[starts][seg]
-            keep = anode != anchors_per_row
-            anchor_pairs_tbl = pa.table(
-                {"src": pa.array(anchors_per_row[keep]), "dst": pa.array(anode[keep])}
-            )
-        else:
-            anchor_pairs_tbl = pa.table(
-                {"src": pa.array([], pa.uint64()), "dst": pa.array([], pa.uint64())}
-            )
-        anchor_pairs = ray.data.from_arrow(anchor_pairs_tbl)
-        pairs = cold_pairs.union(hot_pairs).union(anchor_pairs)
-    if not dedup:
-        return pairs
-
-    # dedupe identical pairs found by multiple bands: group by pair hash
     def add_pair_part(t: pa.Table) -> pa.Table:
         s = np.asarray(t.column("src"), dtype=np.uint64)
         d = np.asarray(t.column("dst"), dtype=np.uint64)
@@ -628,7 +368,6 @@ def near_dup_edges(
     text_col: str = "text",
     concurrency=None,
     with_digests: bool = False,
-    candidates_impl: str = "index",
 ) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
     """Full near-dup front half. Returns (verified edge list with node ids,
     signature dataset with the id<->node mapping).
@@ -641,41 +380,9 @@ def near_dup_edges(
     sigs = minhash_signatures(
         ds, shingle=shingle, minhash=minhash, id_col=id_col,
         text_col=text_col, concurrency=concurrency, with_digests=with_digests,
-    )
-    if candidates_impl == "sort":
-        # coalesce to ~2 blocks per CPU before materializing: every
-        # downstream sort AllToAll pays per-block scheduling overhead on
-        # the order of seconds per hundred blocks (measured: 224 blocks →
-        # 30 s, 64 blocks → 7 s for the same shuffle). The index path has
-        # no sorts — skip the extra exchange there.
-        try:
-            import ray as _ray
-
-            ncpu = int(_ray.cluster_resources().get("CPU", 8))
-        except Exception:  # noqa: BLE001
-            ncpu = 8
-        sigs = sigs.repartition(max(8, 2 * ncpu))
-    sigs = sigs.materialize()
-    n_sigs = sigs.count()
-    use_broadcast = n_sigs <= 2_000_000
-    if candidates_impl == "index":
-        # sharded-actor bucket index: no AllToAll at all, deterministic
-        # min-node anchors, hot buckets need no salting (stages/bucket_index)
-        from dupers_ray.stages.bucket_index import candidate_pairs_index
-
-        pairs = candidate_pairs_index(sigs, minhash=minhash, id_col=id_col)
-    else:
-        # broadcast verify dedups pairs in-batch, so the dedicated pair-dedup
-        # shuffle is only worth paying on the large (join-verify) path, where
-        # cross-band duplicates (32x for exact-dup clusters) would otherwise
-        # flood the join shuffle
-        pairs = candidate_pairs(
-            sigs, minhash=minhash, id_col=id_col, dedup=not use_broadcast
-        )
-    edges = verify_pairs(
-        pairs, sigs, minhash=minhash,
-        strategy="broadcast" if use_broadcast else "join",
-    )
+    ).materialize()
+    pairs = candidate_pairs_index(sigs, minhash=minhash, id_col=id_col)
+    edges = verify_pairs(pairs, sigs, minhash=minhash)
     return edges, sigs
 
 
@@ -697,9 +404,10 @@ def pair_similarity_histogram(
     (bucket, min_jaccard, n_pairs)   bucket = matches // bin_comps,
                                      min_jaccard = bucket*bin_comps/num_perm
 
-    Scale shape: signatures → banded candidates with the GLOBAL pair
-    dedup shuffle (16 B rows; multiplicity matters for a histogram,
-    unlike for components) → fold16 verify at threshold 0 (keeps every
+    Scale shape: signatures → bucket-index candidates → ONE global pair
+    dedup groupby (16 B rows; the index dedups only within a shard, and
+    multiplicity matters for a histogram, unlike for components) → fold16
+    verify at threshold 0 (keeps every
     candidate, broadcast or join by size) → per-batch bincount combiner
     → one ≤(num_perm/bin_comps+1)-row groupby. SQL oracle: the shared
     signature CTE (_sig_sql_prefix) + a list_filter match count."""
@@ -713,7 +421,9 @@ def pair_similarity_histogram(
     sigs = minhash_signatures(
         ds, shingle=shingle, minhash=cfg, id_col=id_col, text_col=text_col
     ).materialize()
-    pairs = candidate_pairs(sigs, minhash=cfg, id_col=id_col, dedup=True)
+    pairs = _distinct_pairs(
+        candidate_pairs_index(sigs, minhash=cfg, id_col=id_col)
+    )
     scored = verify_pairs(
         pairs, sigs, minhash=replace(cfg, jaccard_threshold=0.0),
         compare="fold16",
@@ -753,12 +463,11 @@ def bucket_size_histogram(
     id_col: str = "url",
 ) -> "ray.data.Dataset":
     """LSH bucket-size histogram → (bucket_size, n_buckets): the skew
-    diagnostic behind detect_hot_buckets/salting, driver-visible.  The
-    long tail of size-1 buckets is the healthy mass; a handful of
-    10^4-member buckets is boilerplate skew that would serialize the
-    candidate shuffle without salting (north rule: skew handled
-    explicitly — this is the measurement that proves which regime the
-    corpus is in).  Scale shape: explode to 16-byte (band_hash) rows,
+    diagnostic, driver-visible.  The long tail of size-1 buckets is the
+    healthy mass; a handful of 10^4-member buckets is boilerplate skew,
+    whose cost in the bucket index is the star pairs it emits (north
+    rule: skew measured explicitly — this is the measurement that proves
+    which regime the corpus is in).  Scale shape: explode to 16-byte (band_hash) rows,
     per-batch count combiner → ONE groupby of count rows → per-batch
     size histogram → ONE tiny groupby; the corpus never shuffles."""
     from ray.data.aggregate import Sum

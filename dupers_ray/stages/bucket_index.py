@@ -15,11 +15,13 @@ every shard vectorizes its rows into sorted buckets and emits star pairs
 are returned as object refs and assembled with ``from_arrow_refs`` — the
 driver never copies them.
 
-Properties vs the sort-based groupby path:
-- no AllToAll operator (the sort's per-block scheduling overhead was the
-  single-node scaling ceiling) and no second pass over the band rows;
+This is the engine's only candidate generator (LSH bands and exact
+digests alike). Why actors rather than a sort-groupby over band rows:
+- no AllToAll operator (a sort's per-block scheduling overhead was the
+  single-node scaling ceiling, and it grew superlinearly with block
+  count) and no second pass over the band rows;
 - hot buckets cost O(members) emissions inside one shard — no reducer
-  blow-up, so no salting machinery;
+  blow-up, so no salting machinery and no bucket cap;
 - deterministic edges (min-node anchor) at any parallelism.
 
 Shard memory: 16 B per band row held between ingest and build (the same
@@ -109,39 +111,16 @@ def _default_n_shards() -> int:
 
 def _emit_star_pairs(
     bh: np.ndarray, sub: np.ndarray | None, node: np.ndarray,
-    max_bucket_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(src=min-node anchor, dst=member) star pairs from UNSORTED bucket
-    rows; per-bucket cap optional (0 = uncapped). ``sub=None`` means the
-    bucket key is ``bh`` alone (the LSH-band path) — no 8 B/row zero
-    subkeys are allocated, gathered or sorted.
+    rows. ``sub=None`` means the bucket key is ``bh`` alone (the LSH-band
+    path) — no 8 B/row zero subkeys are allocated, gathered or sorted.
 
-    Uncapped fast path (every index call site): single-key argsort on the
-    bucket hash — ~6x cheaper than the old (node, sub, bh) lexsort, which
-    was the dominant cost of shard-side pair emission — with anchors via
-    ``np.minimum.reduceat`` (node order inside a bucket is irrelevant to
-    the emitted pair SET) and sub-key refinement applied only to the rows
-    sitting in multi-row bh runs (a few % of rows). The capped path keeps
-    the full lexsort: the cap keeps the ``max_bucket_size`` smallest-node
-    members, which needs node-ordered ranks."""
-    if max_bucket_size:
-        if sub is None:
-            order = np.lexsort((node, bh))
-            bh, node = bh[order], node[order]
-            new = np.r_[True, bh[1:] != bh[:-1]]
-        else:
-            order = np.lexsort((node, sub, bh))
-            bh, sub, node = bh[order], sub[order], node[order]
-            new = np.r_[True, (bh[1:] != bh[:-1]) | (sub[1:] != sub[:-1])]
-        seg = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.r_[starts, len(bh)])
-        anchors = node[starts][seg]
-        keep = (node != anchors) & (sizes[seg] > 1)
-        rank = np.arange(len(bh)) - starts[seg]
-        keep &= rank < max_bucket_size
-        return anchors[keep], node[keep]
-
+    Single-key argsort on the bucket hash — ~6x cheaper than a (node, sub,
+    bh) lexsort — with anchors via ``np.minimum.reduceat`` (node order
+    inside a bucket is irrelevant to the emitted pair SET) and sub-key
+    refinement applied only to the rows sitting in multi-row bh runs (a
+    few % of rows)."""
     order = np.argsort(bh)  # quicksort: fastest, stability not needed
     bh, node = bh[order], node[order]
     if sub is not None:
@@ -268,7 +247,7 @@ class BucketIndexShard:
                 compression="zstd",
             )
 
-    def pairs_table(self, max_bucket_size: int = 0) -> pa.Table:
+    def pairs_table(self) -> pa.Table:
         """Sort accumulated rows into buckets, emit (src=min-node anchor,
         dst=member) star pairs for buckets with >=2 members, deduped across
         bands within the shard. With spilled runs, resolves one key
@@ -280,7 +259,7 @@ class BucketIndexShard:
             bh, sub, node = self._drain()
             if not len(bh):
                 return empty
-            src, dst = _emit_star_pairs(bh, sub, node, max_bucket_size)
+            src, dst = _emit_star_pairs(bh, sub, node)
             src, dst = _dedup_pairs(src, dst)
             return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
         self._flush()  # remaining buffer joins the runs
@@ -298,7 +277,6 @@ class BucketIndexShard:
                 np.asarray(t.column("sub"), dtype=np.uint64)
                 if "sub" in t.column_names else None,
                 np.asarray(t.column("node"), dtype=np.uint64),
-                max_bucket_size,
             )
             srcs.append(src)
             dsts.append(dst)
@@ -313,6 +291,73 @@ class BucketIndexShard:
         return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
 
+def _index_pairs(
+    sigs: "ray.data.Dataset", routes, spill_rows: int,
+) -> list["ray.data.Dataset"]:
+    """The one shard lifecycle. ``routes`` is a list of ``(n_shards,
+    rows)``, where ``rows(table) -> (key, node, sub | None)`` turns a
+    signature batch into bucket rows. One shard set starts per route, ONE
+    ingest map over ``sigs`` routes every batch's rows by ``key %
+    n_shards`` (fire-and-forget adds), ``_await_rows`` waits for them to
+    land, and each shard emits its star pairs. Returns one pairs Dataset
+    per route, assembled from object refs the driver never copies.
+
+    The shards are killed on every exit path: a failing ingest map or
+    stalled barrier must not leave the actors alive holding their
+    buffers."""
+    shard_sets: list[list] = []
+    try:
+        for n, _rows in routes:
+            shard_sets.append([_new_shard(spill_rows) for _ in range(n)])
+
+        def ingest(t: pa.Table) -> pa.Table:
+            counts = {}
+            for i, ((n, rows), shards) in enumerate(zip(routes, shard_sets)):
+                key, node, sub = rows(t)
+                sid = (key % np.uint64(n)).astype(np.int64)
+                for s in range(n):
+                    m = sid == s
+                    if m.any():
+                        shards[s].add.remote(  # fire-and-forget
+                            key[m], node[m], None if sub is None else sub[m]
+                        )
+                counts[f"n{i}"] = pa.array([len(key)], pa.int64())
+            return pa.table(counts)
+
+        counts = sigs.map_batches(ingest, batch_format="pyarrow",
+                                  zero_copy_batch=True).take_all()
+        for i, shards in enumerate(shard_sets):
+            _await_rows(shards, sum(r[f"n{i}"] for r in counts))
+        refs = [[s.pairs_table.remote() for s in shards] for shards in shard_sets]
+        flat = [r for rs in refs for r in rs]
+        ray.wait(flat, num_returns=len(flat))
+        return [ray.data.from_arrow_refs(rs) for rs in refs]
+    finally:
+        for shards in shard_sets:
+            for s in shards:
+                ray.kill(s)
+
+
+def _lsh_rows(cfg: MinHashConfig, id_col: str):
+    """Bucket rows of the LSH index: one (band_hash, node) row per band."""
+    from dupers_ray.stages.minhash import explode_bands
+
+    def rows(t: pa.Table):
+        b = explode_bands(t, bands=cfg.bands, rows=cfg.rows, id_col=id_col)
+        return (np.asarray(b.column("band_hash"), dtype=np.uint64),
+                np.asarray(b.column("node"), dtype=np.uint64), None)
+
+    return rows
+
+
+def _exact_rows(t: pa.Table):
+    """Bucket rows of the exact-digest index: one row per doc keyed on the
+    two sha-256 words (2^-128 collision)."""
+    return (np.asarray(t.column("digest_u64"), dtype=np.uint64),
+            np.asarray(t.column("node"), dtype=np.uint64),
+            np.asarray(t.column("digest_u64b"), dtype=np.uint64))
+
+
 def candidate_pairs_index(
     sigs: "ray.data.Dataset",
     *,
@@ -321,80 +366,14 @@ def candidate_pairs_index(
     n_shards: int | None = None,
     spill_rows: int = DEFAULT_SPILL_ROWS,
 ) -> "ray.data.Dataset":
-    """(src, dst) candidate star pairs via the sharded bucket index, from
-    the signature table directly (band explode fused into the ingest map)."""
+    """(src, dst) LSH candidate star pairs via the sharded bucket index,
+    from the signature table directly (band explode fused into the ingest
+    map). Cross-band duplicate pairs are removed within each shard only."""
     cfg = minhash or MinHashConfig()
     if n_shards is None:
         n_shards = _default_n_shards()
-    shards = [_new_shard(spill_rows) for _ in range(n_shards)]
-
-    from dupers_ray.stages.minhash import explode_bands
-
-    def ingest(t: pa.Table) -> pa.Table:
-        b = explode_bands(t, bands=cfg.bands, rows=cfg.rows, id_col=id_col)
-        bh = np.asarray(b.column("band_hash"), dtype=np.uint64)
-        node = np.asarray(b.column("node"), dtype=np.uint64)
-        sid = (bh % np.uint64(n_shards)).astype(np.int64)
-        for s in range(n_shards):
-            m = sid == s
-            if m.any():
-                shards[s].add.remote(bh[m], node[m])  # fire-and-forget
-        return pa.table({"n": pa.array([len(bh)], pa.int64())})
-
-    sent = sum(
-        r["n"]
-        for r in sigs.map_batches(ingest, batch_format="pyarrow",
-                                  zero_copy_batch=True).take_all()
-    )
-    _await_rows(shards, sent)
-    # shard-side pair emission; tables come back as object refs the driver
-    # never copies (cross-band duplicates are deduped inside each shard)
-    refs = [s.pairs_table.remote(0) for s in shards]
-    ray.wait(refs, num_returns=len(refs))
-    pairs = ray.data.from_arrow_refs(refs)
-    for s in shards:
-        ray.kill(s)
-    return pairs
-
-
-def exact_node_pairs_index(
-    sigs: "ray.data.Dataset",
-    *,
-    n_shards: int | None = None,
-    spill_rows: int = DEFAULT_SPILL_ROWS,
-) -> "ray.data.Dataset":
-    """Exact-dup (src, dst) NODE pairs from the fused signature table's
-    (digest_u64, digest_u64b) columns via the sharded index — the
-    no-shuffle analogue of exact_dupe_pairs for cluster-edge generation
-    (canonical choice is min NODE here, not min id string; components
-    output is identical either way since cluster ids are min-node)."""
-    if n_shards is None:
-        n_shards = _default_n_shards()
-    shards = [_new_shard(spill_rows) for _ in range(n_shards)]
-
-    def ingest(t: pa.Table) -> pa.Table:
-        k = np.asarray(t.column("digest_u64"), dtype=np.uint64)
-        sub = np.asarray(t.column("digest_u64b"), dtype=np.uint64)
-        node = np.asarray(t.column("node"), dtype=np.uint64)
-        sid = (k % np.uint64(n_shards)).astype(np.int64)
-        for s in range(n_shards):
-            m = sid == s
-            if m.any():
-                shards[s].add.remote(k[m], node[m], sub[m])  # fire-and-forget
-        return pa.table({"n": pa.array([len(t)], pa.int64())})
-
-    sent = sum(
-        r["n"]
-        for r in sigs.select_columns(["digest_u64", "digest_u64b", "node"])
-        .map_batches(ingest, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
-    )
-    _await_rows(shards, sent)
-    refs = [s.pairs_table.remote(0) for s in shards]
-    ray.wait(refs, num_returns=len(refs))
-    pairs = ray.data.from_arrow_refs(refs)
-    for s in shards:
-        ray.kill(s)
+    (pairs,) = _index_pairs(sigs, [(n_shards, _lsh_rows(cfg, id_col))],
+                            spill_rows)
     return pairs
 
 
@@ -416,40 +395,8 @@ def all_candidate_pairs_index(
     # the digest index holds 1 row/doc (vs bands/doc for LSH) — a handful
     # of shards suffices and halves the fused path's actor count
     n_dg = max(2, min(8, n_shards))
-    lsh_shards = [_new_shard(spill_rows) for _ in range(n_shards)]
-    dg_shards = [_new_shard(spill_rows) for _ in range(n_dg)]
-
-    from dupers_ray.stages.minhash import explode_bands
-
-    def ingest(t: pa.Table) -> pa.Table:
-        b = explode_bands(t, bands=cfg.bands, rows=cfg.rows, id_col=id_col)
-        bh = np.asarray(b.column("band_hash"), dtype=np.uint64)
-        bnode = np.asarray(b.column("node"), dtype=np.uint64)
-        sid = (bh % np.uint64(n_shards)).astype(np.int64)
-        for s in range(n_shards):
-            m = sid == s
-            if m.any():
-                lsh_shards[s].add.remote(bh[m], bnode[m])  # fire-and-forget
-        k = np.asarray(t.column("digest_u64"), dtype=np.uint64)
-        sub = np.asarray(t.column("digest_u64b"), dtype=np.uint64)
-        node = np.asarray(t.column("node"), dtype=np.uint64)
-        did = (k % np.uint64(n_dg)).astype(np.int64)
-        for s in range(n_dg):
-            m = did == s
-            if m.any():
-                dg_shards[s].add.remote(k[m], node[m], sub[m])  # fire-and-forget
-        return pa.table({"n_lsh": pa.array([len(bh)], pa.int64()),
-                         "n_dg": pa.array([len(t)], pa.int64())})
-
-    counts = sigs.map_batches(ingest, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all()
-    _await_rows(lsh_shards, sum(r["n_lsh"] for r in counts))
-    _await_rows(dg_shards, sum(r["n_dg"] for r in counts))
-    lsh_refs = [s.pairs_table.remote(0) for s in lsh_shards]
-    dg_refs = [s.pairs_table.remote(0) for s in dg_shards]
-    ray.wait(lsh_refs + dg_refs, num_returns=n_shards + n_dg)
-    lsh_pairs = ray.data.from_arrow_refs(lsh_refs)
-    exact_pairs = ray.data.from_arrow_refs(dg_refs)
-    for s in lsh_shards + dg_shards:
-        ray.kill(s)
+    lsh_pairs, exact_pairs = _index_pairs(
+        sigs, [(n_shards, _lsh_rows(cfg, id_col)), (n_dg, _exact_rows)],
+        spill_rows,
+    )
     return lsh_pairs, exact_pairs

@@ -32,6 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from dupers_ray.functions.grouping import coalesce_for_group_sort
 from dupers_ray.stages.embed import _mat, _norm
 
 
@@ -206,15 +207,11 @@ def semantic_dedup(
     tagged = ds.select_columns([id_col, emb_col]).map_batches(
         tag, batch_format="pyarrow", zero_copy_batch=True
     )
-    # Coalesce so the groupby's range sort has ~4 cells per reducer: Ray's
-    # sort makes one output partition per INPUT block, and with reducers >=
-    # distinct keys the sampled boundaries duplicate, yielding empty
-    # SCHEMA-LESS partitions (the `RefBundle with a different schema`
-    # warnings in the r4 bench tail). With cells >= 4x partitions no
-    # boundary duplicates (unless one cell holds >25% of all rows), every
-    # partition is non-empty and typed, and prune parallelism still scales
-    # with n_clusters (12.5k partitions at the paper's 50k-cell config).
-    tagged = tagged.repartition(max(2, n_clusters // 4))
+    # Coalesce to >= 8 cells per reducer before the groupby's range sort:
+    # with reducers near the distinct-key count the sampled boundaries
+    # duplicate, yielding empty SCHEMA-LESS partitions (the `RefBundle
+    # with a different schema` warnings in the r4 bench tail).
+    tagged = coalesce_for_group_sort(tagged, n_clusters)
     return tagged.groupby("cell").map_groups(
         _prune_cell, batch_format="pyarrow",
         fn_kwargs={"id_col": id_col, "emb_col": emb_col,

@@ -3,10 +3,12 @@ subkey bucketing, determinism across shard counts and block layouts."""
 
 from __future__ import annotations
 
+import time
 from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray
 import ray.data as rd
 
@@ -41,7 +43,7 @@ def test_shard_pairs_match_bruteforce():
     # feed in chunks, out of order
     for lo in range(0, 500, 120):
         ray.get(shard.add.remote(keys[lo : lo + 120], nodes[lo : lo + 120]))
-    t = ray.get(shard.pairs_table.remote(0))
+    t = ray.get(shard.pairs_table.remote())
     got = set(zip(t.column("src").to_pylist(), t.column("dst").to_pylist()))
     assert got == _brute_star_pairs(keys.tolist(), nodes.tolist())
     ray.kill(shard)
@@ -53,7 +55,7 @@ def test_shard_subkey_separates_buckets():
     nodes = np.array([10, 20, 30, 40], np.uint64)
     shard = BucketIndexShard.remote()
     ray.get(shard.add.remote(keys, nodes, subs))
-    t = ray.get(shard.pairs_table.remote(0))
+    t = ray.get(shard.pairs_table.remote())
     got = set(zip(t.column("src").to_pylist(), t.column("dst").to_pylist()))
     # same key but different subkey must NOT pair
     assert got == {(10, 20), (30, 40)}
@@ -79,8 +81,8 @@ def test_shard_spill_path_identical_and_bounded():
     st = ray.get(spilled.stats.remote())
     assert st["spilled_runs"] > 0
     assert max_buffered < 1_000 + 700  # never holds more than threshold+batch
-    a = ray.get(spilled.pairs_table.remote(0))
-    b = ray.get(inmem.pairs_table.remote(0))
+    a = ray.get(spilled.pairs_table.remote())
+    b = ray.get(inmem.pairs_table.remote())
     got = set(zip(a.column("src").to_pylist(), a.column("dst").to_pylist()))
     exp = set(zip(b.column("src").to_pylist(), b.column("dst").to_pylist()))
     assert got == exp and len(got) > 0
@@ -118,3 +120,31 @@ def test_all_candidate_pairs_exact_side(pages_small):
     exp = _brute_star_pairs(df["digest"].tolist(), df["node"].astype(np.uint64).tolist())
     got = set(zip(e["src"].astype(np.uint64), e["dst"].astype(np.uint64)))
     assert got == exp and len(got) > 0
+
+
+def test_failed_ingest_kills_shards(pages_small):
+    """An ingest map that raises (here: no ``digest_u64b`` column) must
+    not leave shard actors alive holding their buffers."""
+    from ray._private.state import actors
+
+    def live_shards() -> set[str]:
+        # PENDING_CREATION counts: shards may still be starting when the
+        # ingest map fails
+        return {a["ActorID"] for a in actors().values()
+                if a["ActorClassName"] == "BucketIndexShard"
+                and a["State"] != "DEAD"}
+
+    cfg = MinHashConfig()
+    sigs = minhash_signatures(
+        rd.from_arrow(pages_small.pages), minhash=cfg, with_digests=True
+    ).drop_columns(["digest_u64b"]).materialize()
+    before = live_shards()
+    # excinfo keeps the traceback, and with it the actor handles in the
+    # failed call's frame, referenced — as any caller holding the error
+    # does — so only an explicit kill can stop the shards
+    with pytest.raises(ray.exceptions.RayTaskError) as excinfo:
+        all_candidate_pairs_index(sigs, minhash=cfg, n_shards=3)
+    deadline = time.monotonic() + 30
+    while live_shards() - before and time.monotonic() < deadline:
+        time.sleep(0.2)
+    assert not live_shards() - before

@@ -15,6 +15,7 @@ Contract under ANY input bytes:
 from __future__ import annotations
 
 import lzma
+import os
 import random
 import zlib
 
@@ -31,8 +32,16 @@ from dupers_ray.sources.archive import (
 from dupers_ray.sources.rar5 import read_rar5_members
 from dupers_ray.sources.sevenzip import read_7z_members
 from dupers_ray.sources.zstd_codec import zstd_decompress
+from tests.test_reference_parity import REF
 
 _KNOWN_MIMES = EXTRACTABLE | {None}
+
+REF_7Z = os.path.join(REF, "randomfiles.7z")
+# the reference corpus is not shipped with this repo (the same guard as
+# tests/test_reference_parity.py)
+needs_ref_7z = pytest.mark.skipif(
+    not os.path.exists(REF_7Z), reason="reference 7z fixture not present"
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -61,7 +70,7 @@ def _mutations(blob: bytes, rng: random.Random, n: int = 40):
 
 
 def _fixture_7z() -> bytes:
-    return open("/root/reference/testdata/randomfiles.7z", "rb").read()
+    return open(REF_7Z, "rb").read()
 
 
 def _fixture_rar() -> bytes:
@@ -77,7 +86,7 @@ def _fixture_zstd() -> bytes:
 @pytest.mark.parametrize(
     "decoder,fixture",
     [
-        (read_7z_members, _fixture_7z),
+        pytest.param(read_7z_members, _fixture_7z, marks=needs_ref_7z),
         (read_rar5_members, _fixture_rar),
         (zstd_decompress, _fixture_zstd),
     ],
@@ -94,6 +103,7 @@ def test_decoder_survives_mutations(decoder, fixture):
                                    zlib.error, OSError)), type(ex)
 
 
+@needs_ref_7z
 def test_explode_archives_never_drops_rows():
     rng = random.Random(99)
     rows: list[tuple[str, bytes]] = [("plain.html", b"<html>hi</html>")]

@@ -188,16 +188,16 @@ def test_dup_recall_report_query_exact_values(ray_session):
 
 
 def test_pair_similarity_histogram_consistency(pages_small):
-    """Σ n_pairs == distinct candidate pairs, and the mass at buckets
-    >= threshold equals the verified edge count at that threshold."""
+    """Σ n_pairs == distinct index candidate pairs, and the mass at
+    buckets >= threshold equals the verified edge count there."""
     import numpy as np
     import ray.data as rd
 
     from dupers_ray.config import MinHashConfig
     from dupers_ray.pipelines.near_dedup import (
-        candidate_pairs, minhash_signatures, pair_similarity_histogram,
-        verify_pairs,
+        minhash_signatures, pair_similarity_histogram, verify_pairs,
     )
+    from dupers_ray.stages.bucket_index import candidate_pairs_index
 
     t = pages_small.pages.select(["url", "text"])
     ds = rd.from_arrow(t).repartition(6)
@@ -207,7 +207,7 @@ def test_pair_similarity_histogram_consistency(pages_small):
     assert hist and sum(hist.values()) > 0
 
     sigs = minhash_signatures(ds, minhash=cfg).materialize()
-    pairs = candidate_pairs(sigs, minhash=cfg, dedup=True)
+    pairs = candidate_pairs_index(sigs, minhash=cfg).materialize()
     n_cand = len({(r["src"], r["dst"]) for r in pairs.take_all()})
     assert sum(hist.values()) == n_cand
 

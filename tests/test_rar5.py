@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import io
 import os
+import select
 import shutil
 import struct
 import subprocess
+import time
 import zlib
 
 import pyarrow as pa
@@ -141,16 +143,44 @@ def test_cross_validated_by_libarchive(tmp_path):
     assert sorted(names) == sorted(n for n, _ in MEMBERS)
     for name, payload in MEMBERS:
         try:
-            got = subprocess.run(
-                [BSDTAR, "-xOf", str(path), name], capture_output=True,
-                timeout=60,
-            )
+            code, out, err = _bsdtar_extract(path, name, len(payload) + 1,
+                                             tmp_path / "stderr", timeout=60)
         except subprocess.TimeoutExpired:
             pytest.skip(
                 f"bsdtar hung extracting {name!r} (buggy host libarchive)"
             )
-        assert got.returncode == 0, got.stderr
-        assert got.stdout == payload
+        assert code == 0, err
+        assert out == payload
+
+
+def _bsdtar_extract(path, name, limit, err_path, *, timeout):
+    """(returncode, first ``limit`` stdout bytes, stderr head) of ``bsdtar
+    -xOf path name``. Output past ``limit`` is read and dropped, never
+    buffered: a buggy libarchive can print without end (observed: many GB
+    of zeros for a zero-length member), and such a run ends in
+    TimeoutExpired at the deadline, the same as a silent hang."""
+    deadline = time.monotonic() + timeout
+    with open(err_path, "wb") as errf, subprocess.Popen(
+        [BSDTAR, "-xOf", str(path), name],
+        stdout=subprocess.PIPE, stderr=errf,
+    ) as proc:
+        out = bytearray()
+        try:
+            while True:
+                left = deadline - time.monotonic()
+                if left <= 0 or not select.select([proc.stdout], [], [], left)[0]:
+                    raise subprocess.TimeoutExpired(proc.args, timeout)
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                if not chunk:
+                    break
+                out += chunk[: limit - len(out)]
+            code = proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    with open(err_path, "rb") as errf:
+        err = errf.read(4096).decode(errors="replace")
+    return code, bytes(out), err
 
 
 # ------------------------------------------------------------------ errors

@@ -1,19 +1,13 @@
-"""Hot-bucket (boilerplate) skew handling: detection, salting, and
-cluster connectivity through the two-level anchor stitching."""
+"""Hot-bucket (boilerplate) skew: a bucket holding hundreds of
+near-identical docs must still yield one connected cluster."""
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 import ray.data as rd
 
-from dupers_ray.config import DedupConfig, MinHashConfig
+from dupers_ray.config import DedupConfig
 from dupers_ray.pipelines.dupe import dupe_clusters
-from dupers_ray.pipelines.near_dedup import (
-    detect_hot_buckets,
-    minhash_signatures,
-)
-from dupers_ray.stages.minhash import explode_bands
 
 
 def _boiler_corpus(n_hot=400, n_unique=100, seed=11):
@@ -34,60 +28,16 @@ def _boiler_corpus(n_hot=400, n_unique=100, seed=11):
     return rows
 
 
-def test_detect_hot_buckets():
-    cfg = MinHashConfig(max_bucket_size=100)
-    rows = _boiler_corpus()
-    ds = rd.from_items(rows).repartition(4)
-    sigs = minhash_signatures(ds, minhash=cfg).materialize()
-    bands = sigs.map_batches(
-        explode_bands,
-        fn_kwargs={"bands": cfg.bands, "rows": cfg.rows, "id_col": "url"},
-        batch_format="pyarrow",
-    ).select_columns(["band_hash", "node"])
-    hot = detect_hot_buckets(bands, hot_threshold=100)
-    # the 400 near-identical docs share (most) band values in every band
-    assert len(hot) >= 16, f"expected many hot buckets, got {len(hot)}"
-
-
 def test_hot_bucket_cluster_connectivity():
-    """With a per-bucket cap far below the hot-bucket size, salting +
-    anchor stitching must still produce ONE cluster for the boilerplate
-    group (the unsalted cap alone would orphan most members)."""
+    """400 boilerplate docs share most band buckets: the uncapped index
+    star-pairs every member to its bucket's min node, so the group is ONE
+    cluster and no unique doc joins it."""
     rows = _boiler_corpus(n_hot=400, n_unique=100)
-    cfg = DedupConfig(minhash=MinHashConfig(max_bucket_size=50))
     ds = rd.from_items(rows).repartition(8)
-    out = dupe_clusters(ds, cfg).to_pandas()
+    out = dupe_clusters(ds, DedupConfig()).to_pandas()
     hot = out[out.url.str.startswith("hot/")]
     assert hot["cluster_id"].nunique() == 1, (
         f"hot docs split into {hot['cluster_id'].nunique()} clusters"
     )
     uniq = out[out.url.str.startswith("uniq/")]
     assert uniq["cluster_id"].nunique() == len(uniq)
-
-
-def test_no_hot_buckets_path_unchanged(pages_small):
-    """Normal corpus: detection finds nothing hot at default thresholds;
-    pipeline output must equal the pre-salting behavior (covered by the
-    recall test, re-asserted here via determinism)."""
-    import pandas as pd
-
-    from dupers_ray.pipelines.near_dedup import near_dup_edges
-
-    cfg = DedupConfig()
-    e1 = (
-        near_dup_edges(rd.from_arrow(pages_small.pages).repartition(3),
-                       shingle=cfg.shingle, minhash=cfg.minhash)[0]
-        .to_pandas()[["src", "dst"]]
-        .astype(np.uint64)
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
-    e2 = (
-        near_dup_edges(rd.from_arrow(pages_small.pages).repartition(9),
-                       shingle=cfg.shingle, minhash=cfg.minhash)[0]
-        .to_pandas()[["src", "dst"]]
-        .astype(np.uint64)
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(e1, e2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import os
 import tarfile
 import zipfile
 
@@ -14,6 +15,15 @@ import ray.data as rd
 from dupers_ray.sources.archive import classify_mime, explode_archives, sniff_mime
 from dupers_ray.sources.csv_io import CSVFormatError, export_csv, import_csv
 from dupers_ray.stages.digest import digest_dataset
+
+from tests.test_reference_parity import REF as REF_TESTDATA
+
+# the reference corpus is not shipped with this repo (the same guard as
+# tests/test_reference_parity.py)
+needs_ref_7z = pytest.mark.skipif(
+    not os.path.exists(os.path.join(REF_TESTDATA, "randomfiles.7z")),
+    reason="reference 7z fixture not present",
+)
 
 
 def test_csv_roundtrip(tmp_path):
@@ -222,16 +232,17 @@ def _write_7z_copy(
             + start + body + hdr)
 
 
+@needs_ref_7z
 def test_7z_reference_fixture_parity():
     """Read7Zip conformance (dupe.go:648-693): the reference's own fixture
     must extract, and its single member must be byte-identical to the
     sibling randomfiles.tar.xz file."""
     from dupers_ray.sources.sevenzip import read_7z_members
 
-    data = open("/root/reference/testdata/randomfiles.7z", "rb").read()
+    data = open(os.path.join(REF_TESTDATA, "randomfiles.7z"), "rb").read()
     members = read_7z_members(data)
     assert [n for n, _ in members] == ["randomfiles.tar.xz"]
-    ref = open("/root/reference/testdata/randomfiles.tar.xz", "rb").read()
+    ref = open(os.path.join(REF_TESTDATA, "randomfiles.tar.xz"), "rb").read()
     assert members[0][1] == ref
 
 
@@ -268,10 +279,11 @@ def test_7z_crc_sections():
     assert dict(read_7z_members(arc)) == dict(one)
 
 
+@needs_ref_7z
 def test_7z_explode_and_nested_tar_xz():
     """explode_archives walks 7z members one level (nested tar.xz member
     stays opaque, dupe.go:603 parity) with path-join keys (dupe.go:665)."""
-    data = open("/root/reference/testdata/randomfiles.7z", "rb").read()
+    data = open(os.path.join(REF_TESTDATA, "randomfiles.7z"), "rb").read()
     t = pa.table({"url": ["x/randomfiles.7z"], "html": pa.array([data], pa.binary())})
     out = explode_archives(t)
     assert out.column("url").to_pylist() == ["x/randomfiles.7z/randomfiles.tar.xz"]

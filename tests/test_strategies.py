@@ -2,25 +2,27 @@
 produce identical results to its default counterpart on the same input.
 
 - verify_pairs: broadcast (small-corpus) vs join (10^12-doc path)
-- candidate generation: sharded index (default) vs sort groupby
+- candidate generation: sharded index vs a driver-side brute-force star
+  pair set over the same band rows
 - connected components: driver union-find vs distributed label propagation
   on REAL near-dup edges (toy graphs are covered in test_near_dedup)
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import ray
 import ray.data as rd
 
 from dupers_ray.config import DedupConfig, MinHashConfig
 from dupers_ray.pipelines.components import components_distributed, components_driver
-from dupers_ray.pipelines.near_dedup import (
-    candidate_pairs,
-    minhash_signatures,
-    verify_pairs,
-)
+from dupers_ray.pipelines.near_dedup import minhash_signatures, verify_pairs
 from dupers_ray.stages.bucket_index import candidate_pairs_index
+from dupers_ray.stages.minhash import explode_bands
 
 
 def _pairs_set(df: pd.DataFrame, cols=("src", "dst")) -> set[tuple[int, int]]:
@@ -34,7 +36,7 @@ def test_verify_join_equals_broadcast(pages_small):
     sigs = minhash_signatures(
         rd.from_arrow(pages_small.pages), minhash=cfg
     ).materialize()
-    pairs = candidate_pairs(sigs, minhash=cfg, dedup=True).materialize()
+    pairs = candidate_pairs_index(sigs, minhash=cfg).materialize()
     bc = verify_pairs(pairs, sigs, minhash=cfg, strategy="broadcast").to_pandas()
     jn = verify_pairs(pairs, sigs, minhash=cfg, strategy="join").to_pandas()
     assert _pairs_set(bc) == _pairs_set(jn)
@@ -55,16 +57,27 @@ def test_verify_join_equals_broadcast(pages_small):
         assert abs(jb[k] - jj[k]) <= 4 / cfg_perm + 1e-12
 
 
-def test_index_candidates_equal_sort_candidates(pages_small):
+def test_index_candidates_equal_bruteforce(pages_small):
+    """Index pairs == star pairs (min-node anchor → every other member) of
+    every band bucket, computed on the driver from explode_bands rows."""
     cfg = MinHashConfig()
     sigs = minhash_signatures(
         rd.from_arrow(pages_small.pages), minhash=cfg, with_digests=True
     ).materialize()
     via_index = _pairs_set(candidate_pairs_index(sigs, minhash=cfg).to_pandas())
-    via_sort = _pairs_set(
-        candidate_pairs(sigs, minhash=cfg, dedup=True).to_pandas()
+
+    bands = explode_bands(
+        pa.concat_tables(ray.get(sigs.to_arrow_refs())),
+        bands=cfg.bands, rows=cfg.rows, id_col="url",
     )
-    assert via_index == via_sort
+    buckets = defaultdict(set)
+    for bh, node in zip(bands.column("band_hash").to_pylist(),
+                        bands.column("node").to_pylist()):
+        buckets[bh].add(node)
+    brute = {
+        (min(m), n) for m in buckets.values() for n in m if n != min(m)
+    }
+    assert via_index == brute
     assert len(via_index) > 0
 
 

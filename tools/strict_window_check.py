@@ -11,11 +11,15 @@ when `str()` agrees). Floats compare with rtol=1e-9 (the driver is
 assumed to round; a kind mismatch is still an error because hashing a
 float64 1.0 differs from an int64 1).
 
-Usage: python tools/strict_window_check.py [sf_dir] [--window-only]
+Usage: python tools/strict_window_check.py [sf_dir] [--all]
+
+Checks the first 50 `queries()` entries (the driver's window); `--all`
+checks every entry.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import sys
 
@@ -42,11 +46,26 @@ def to_pandas(res) -> pd.DataFrame:
     return res
 
 
+def _sort_key(v) -> tuple:
+    """Row-sort key that orders numbers by VALUE whatever their dtype (int
+    1 and float 1.0 tie; Python compares int with float exactly), puts
+    NaN/None after them and orders everything else by its string."""
+    if isinstance(v, numbers.Real):
+        if v != v:  # NaN
+            return (1, 0)
+        return (0, int(v) if isinstance(v, numbers.Integral) else float(v))
+    if v is None or v is pd.NA or v is pd.NaT:
+        return (1, 0)
+    return (2, str(v))
+
+
 def canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    sort_key = df.astype(str) if len(df) else df
-    order = sort_key.sort_values(list(df.columns), kind="mergesort").index
-    return df.loc[order].reset_index(drop=True)
+    df = df[sorted(df.columns)].reset_index(drop=True)
+    # itertuples keeps each column's own dtype (a row Series would upcast
+    # a uint64 next to a float column to float64)
+    keys = [tuple(map(_sort_key, row)) for row in df.itertuples(index=False)]
+    order = sorted(range(len(df)), key=keys.__getitem__)
+    return df.iloc[order].reset_index(drop=True)
 
 
 def kind(s: pd.Series) -> str:
