@@ -2489,8 +2489,9 @@ def _q_sessionize(sf_dir: str):
 
 def _q_sessionize_str(sf_dir: str):
     """Sessionize with STRING user ids — the common web case (cookie /
-    device ids). Exercises the hash_str_keys partitioner path in
-    events.sessionize.add_part (round-2 VERDICT 'wrong' #3)."""
+    device ids). Exercises the string-key partitioner of
+    functions/grouping.keyed_partition_map_groups (round-2 VERDICT
+    'wrong' #3)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -5520,7 +5521,7 @@ def _q_recrawl_queue(sf_dir: str):
     the capture are 'stale'.  Captures carry planted dates
     2026-07-{doc%14+1}; sitemap lastmods are 2026-07-{doc%28+1} (absent
     when doc%7==3), so staleness is pure doc_id arithmetic for the
-    oracle.  One int-hash cogroup join, narrow rows."""
+    oracle.  One cogroup join on the url string, narrow rows."""
     import pyarrow as _pa
     import pyarrow.compute as _pc
 
@@ -5550,8 +5551,8 @@ def _q_meta_refresh_chains(sf_dir: str):
     """HTML-level redirect resolution: meta http-equiv=refresh targets
     planted in rotating attr-order/quote/case shapes (synth
     synth_redirect_pages(meta_refresh=True)), extracted in one RE2 pass
-    (urlnorm.extract_meta_refresh), url→id resolved with one int-hash
-    cogroup join against the corpus' own url table, pointer-doubled
+    (urlnorm.extract_meta_refresh), url→id resolved with one cogroup
+    join on the url string against the corpus' own url table, pointer-doubled
     (pipelines/urls.meta_refresh_chains).  Chains are doc i → i-1 with
     roots at multiples of 4, so (root, hops) is direct arithmetic."""
     from dupers_ray.pipelines.urls import meta_refresh_chains
@@ -7487,14 +7488,16 @@ def oracle_sql() -> dict[str, str]:
         "segment_revenue": """
             SELECT c_mktsegment,
                    CAST(count(*) AS BIGINT) AS n_orders,
-                   sum(o_totalprice) AS revenue
+                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
+                        AS DOUBLE) / 100 AS revenue
             FROM orders JOIN customer ON o_custkey = c_custkey
             GROUP BY c_mktsegment
         """,
         "nation_revenue": """
             SELECT n_name,
                    CAST(count(*) AS BIGINT) AS n_orders,
-                   sum(o_totalprice) AS revenue
+                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
+                        AS DOUBLE) / 100 AS revenue
             FROM orders
             JOIN customer ON o_custkey = c_custkey
             JOIN nation ON c_nationkey = n_nationkey

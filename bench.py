@@ -2,7 +2,8 @@
 per-query timings.
 
   python bench.py                # $GRAFT_SF_DIR (default /root/testdata/sf0.1),
-                                 # ray.init(num_cpus=$RAY_GRAFT_CPUS or 32)
+                                 # ray.init(num_cpus=$RAY_GRAFT_CPUS or the
+                                 # cores in this process's affinity mask)
   python bench.py --scaling      # same pipeline at 8 and 32 CPUs in fresh
                                  # processes → throughputs + scaling efficiency
 
@@ -23,7 +24,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 BENCH_DOCS = int(os.environ.get("GRAFT_BENCH_DOCS", "600000"))
 SEED = 42
 CACHE_ROOT = "/tmp/dupers_ray_bench"

@@ -1,110 +1,230 @@
-"""Bounded-fan-out grouped execution.
+"""Grouped execution — the only module that calls Ray's ``map_groups``.
 
-``Dataset.groupby(key).map_groups(fn)`` invokes ``fn`` once per DISTINCT
-key — fine for bounded keys (cells, parts), pathological for unbounded
-ones: one Python call per doc/domain/gram means 10^6-10^8 interpreter
-round-trips at web scale (measured: the per-gram variant burned 16
-workers x 17 CPU-min without finishing 600k pages; the partitioned
-rewrite finishes in ~6 min). This helper partitions by ``hash(key) %
-num_partitions`` instead and invokes ``fn`` once per PARTITION; ``fn``
-MUST therefore aggregate per key internally (regroup) — equal keys
-always co-locate, so per-partition results are globally exact.
+Three layers share ONE block-layout rule:
+
+- :func:`coalesced_map_groups` — ``groupby(key).map_groups(fn)`` with
+  ``fn`` called once per distinct key value. For small semantic keys
+  (k-means cells, budget buckets, query ids).
+- :func:`keyed_partition_map_groups` — for unbounded keys (docs, grams,
+  pairs, urls). Rows are routed by ``hash(key) % num_partitions`` and
+  ``fn`` is called once per PARTITION with every row of every key hashed
+  there, so ``fn`` MUST reduce per key itself. One Python call per
+  distinct key would mean 10^6-10^8 interpreter round-trips at web scale
+  (measured: the per-gram variant burned 16 workers x 17 CPU-min without
+  finishing 600k pages; the partitioned rewrite finishes in ~6 min).
+- :func:`cogroup` — two datasets co-grouped on a key: ``fn(l, r)`` gets
+  both sides' rows of every key hashed to a partition.
+
+The exchange is Ray's sort-based groupby on an int key; the hash
+partitioner is :func:`_partition_ids` (the vectorized string hash for
+string columns, one 64-bit mix for everything else). ``repartition(
+keys=...)``/hash shuffle is not used: it reserves CPUs per operator and
+deadlocks chained operators on small clusters.
+
+The layout rule: before the sort, the input is coalesced to
+``max(2, min(2·CPUs, num_keys // 8))`` blocks. Ray's sort emits one
+output partition per INPUT block; when reducers approach the distinct-key
+count the sampled range boundaries duplicate and the empty ranges
+materialize as schema-less blocks (`RefBundle with a different schema`
+warnings, a schema hazard for downstream unions). Eight keys per reducer
+(boundaries are ~10-sample quantiles per reducer) was observed
+collision-free across full bench runs, and the cap keeps >= 2 blocks/CPU
+at the usual 256-way fan-outs. Coalescing also bounds the sort's
+per-block scheduling cost, which does not depend on data size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
+from dupers_ray.functions.hashing import hash_str_keys, splitmix64
+
 DEFAULT_GROUP_PARTITIONS = 256
+
+_PART = "__part"
+_SIDE = "__side"
+_RIGHT = "__r."  # prefix of right-side columns inside a cogroup
+
+
+def _num_blocks(num_keys: int) -> int:
+    try:
+        ncpu = int(ray.cluster_resources().get("CPU", 8))
+    except Exception:  # noqa: BLE001 — no Ray session to ask
+        ncpu = 8
+    return max(2, min(2 * ncpu, num_keys // 8))
+
+
+def coalesced_map_groups(
+    ds: "ray.data.Dataset",
+    key: str,
+    fn,
+    *,
+    num_keys: int,
+    batch_format: str = "pandas",
+    fn_kwargs: dict | None = None,
+) -> "ray.data.Dataset":
+    """``ds.groupby(key).map_groups(fn)`` after coalescing ``ds`` under
+    the module's layout rule. ``num_keys``: the (approximate) distinct-key
+    cardinality. ``fn`` is called once per key value."""
+    return (
+        ds.repartition(_num_blocks(num_keys))
+        .groupby(key)
+        .map_groups(fn, batch_format=batch_format, fn_kwargs=fn_kwargs)
+    )
+
+
+def _key_u64(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+    t = col.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) \
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return hash_str_keys(col)
+    if pa.types.is_null(t):  # an all-null column of a typeless empty block
+        return np.zeros(len(col), np.uint64)
+    if pa.types.is_temporal(t):
+        col = col.cast(pa.int64())
+    # null keys co-locate with key 0 (they stay a DISTINCT group in a
+    # dropna=False per-partition reduce); without the fill to_numpy
+    # would hand back floats for null-bearing int columns
+    if col.null_count:
+        col = pc.fill_null(col, 0)
+    return col.to_numpy(zero_copy_only=False).astype(np.uint64)
+
+
+def _partition_ids(
+    t: pa.Table, keys: "list[str]", num_partitions: int
+) -> np.ndarray:
+    """int64 partition id per row of ``t`` from its ``keys`` columns.
+    Equal key tuples always get equal ids — the only property grouping
+    needs; joins still compare the real keys."""
+    h = np.zeros(t.num_rows, np.uint64)
+    with np.errstate(over="ignore"):
+        for k in keys:
+            h = splitmix64(h * np.uint64(0x100000001B3) + _key_u64(t.column(k)))
+    return (h % np.uint64(num_partitions)).astype(np.int64)
 
 
 def keyed_partition_map_groups(
     ds: "ray.data.Dataset",
-    key_col: str,
+    key_col: "str | list[str]",
     fn,
     *,
     num_partitions: int = DEFAULT_GROUP_PARTITIONS,
     batch_format: str = "pandas",
-    coalesce: bool = True,
 ) -> "ray.data.Dataset":
-    """groupby-by-key-hash-range replacement for
-    ``ds.groupby(key_col).map_groups(fn)``. ``fn`` receives one frame
-    per partition holding EVERY row of each key hashed there and must
-    reduce per key itself. Integer keys hash by value; string keys via
-    the vectorized string hash (equal keys → equal buckets is all the
-    partition needs). ``coalesce`` repartitions to ~2 blocks/CPU first
-    (Ray's sort AllToAll pays per-block scheduling — the exact_dedup
-    fix)."""
+    """Replacement for ``ds.groupby(key_col).map_groups(fn)`` over an
+    unbounded key (one column or a list of columns). ``fn`` receives one
+    frame per partition holding EVERY row of each key hashed there and
+    must reduce per key itself; the partition column is dropped before
+    ``fn`` sees the rows."""
+    keys = [key_col] if isinstance(key_col, str) else list(key_col)
 
     def add_part(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        kcol = t.column(key_col)
-        if pa.types.is_string(kcol.type) or pa.types.is_large_string(kcol.type):
-            from dupers_ray.pipelines.maintenance import hash_str_keys
-
-            keys = hash_str_keys(kcol)
-        else:
-            # null int keys co-locate in key-0's partition (they stay a
-            # DISTINCT group in the per-partition reduce — dropna=False);
-            # without the fill np.asarray raises on null-bearing columns
-            if kcol.null_count:
-                kcol = pc.fill_null(kcol, 0)
-            keys = np.asarray(kcol, dtype=np.uint64)
         return t.append_column(
-            "__kp",
-            pa.array((keys % np.uint64(num_partitions)).astype(np.int64)),
+            _PART, pa.array(_partition_ids(t, keys, num_partitions))
         )
-
-    out = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-    if coalesce:
-        try:
-            import ray as _r
-
-            ncpu = int(_r.cluster_resources().get("CPU", 8))
-        except Exception:  # noqa: BLE001
-            ncpu = 8
-        out = out.repartition(max(8, 2 * ncpu))
 
     if batch_format == "pandas":
         def wrapped(df):
-            return fn(df.drop(columns="__kp"))
+            return fn(df.drop(columns=_PART))
     else:
         def wrapped(g: pa.Table) -> pa.Table:
-            return fn(g.drop_columns(["__kp"]))
+            return fn(g.drop_columns([_PART]))
 
-    return out.groupby("__kp").map_groups(wrapped, batch_format=batch_format)
+    return coalesced_map_groups(
+        ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True),
+        _PART, wrapped, num_keys=num_partitions, batch_format=batch_format,
+    )
 
 
-def coalesce_for_group_sort(
-    ds: "ray.data.Dataset", num_keys: int
+def arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
+    """Dataset schema as a pyarrow.Schema (may execute a lazy sub-DAG —
+    prefer passing schemas explicitly on hot paths). Pandas-block
+    datasets report numpy dtypes / Python classes instead of Arrow types;
+    map those through pandas (one empty Series per column)."""
+    import pandas as pd
+
+    s = ds.schema()
+    fields = []
+    for name, typ in zip(s.names, s.types):
+        if not isinstance(typ, pa.DataType):
+            if typ is object or typ == np.dtype("O"):
+                typ = pa.string()  # engine object columns are string ids
+            else:
+                typ = pa.Array.from_pandas(pd.Series([], dtype=typ)).type
+        fields.append((name, typ))
+    return pa.schema(fields)
+
+
+def cogroup(
+    left: "ray.data.Dataset",
+    right: "ray.data.Dataset",
+    fn,
+    *,
+    on: str,
+    right_on: str | None = None,
+    num_partitions: int = DEFAULT_GROUP_PARTITIONS,
+    left_schema: "pa.Schema | None" = None,
+    right_schema: "pa.Schema | None" = None,
 ) -> "ray.data.Dataset":
-    """Repartition before a sort-based ``groupby(key)`` so every output
-    partition is non-empty and TYPED. Ray's sort emits one output
-    partition per INPUT block; when reducers approach (or exceed) the
-    distinct-key count the sampled range boundaries duplicate and the
-    empty ranges materialize as schema-less blocks — the benign-but-noisy
-    `RefBundle with a different schema` executor warnings, and a schema
-    hazard for downstream unions. Coalescing to ~>=4 keys per reducer
-    (capped at 2 blocks/CPU) removes duplicate boundaries unless one key
-    holds >25% of all rows. ``num_keys``: the (approximate) distinct-key
-    cardinality, e.g. the fan-out constant of a __part-style key.
+    """Co-group ``left`` and ``right`` on ``left[on] == right[right_on]``:
+    ``fn(l, r) -> pa.Table`` is called once per partition with the left
+    rows (left's columns) and the right rows (right's columns) of every
+    key hashed there; either side may be empty. Right keys are cast to the
+    left key's type, so routing and in-``fn`` comparisons agree.
 
-    Margin note: boundaries are SAMPLE quantiles (~10 samples/reducer),
-    so at 4 keys/reducer sampling noise can still collide two adjacent
-    boundaries occasionally; 8 keys/reducer was observed collision-free
-    across full bench runs while still leaving >=2 blocks/CPU at the
-    usual 256-way fan-outs on 32 CPUs."""
-    try:
-        import ray as _r
+    Both sides are tagged and padded with TYPED nulls for the other
+    side's columns so one union carries them; ``fn`` works in pure Arrow
+    (a pandas hop would coerce null-padded int columns to float64 and
+    corrupt ids above 2^53). Pass the schemas when known: ``.schema()``
+    on a lazy Dataset executes its sub-DAG."""
+    right_on = right_on or on
+    ls = left_schema if left_schema is not None else arrow_schema(left)
+    rs = right_schema if right_schema is not None else arrow_schema(right)
+    lfields = list(zip(ls.names, ls.types))
+    rfields = [(n, t) for n, t in zip(rs.names, rs.types) if n != right_on]
+    key_type = ls.field(on).type
 
-        ncpu = int(_r.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001
-        ncpu = 8
-    return ds.repartition(max(2, min(2 * ncpu, num_keys // 8)))
+    def tag_left(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        cols = {c: t.column(c).cast(typ) for c, typ in lfields}
+        cols.update({_RIGHT + c: pa.nulls(n, typ) for c, typ in rfields})
+        cols[_SIDE] = pa.array(np.zeros(n, np.int8))
+        return pa.table(cols)
+
+    def tag_right(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        cols = {
+            c: (t.column(right_on).cast(key_type) if c == on
+                else pa.nulls(n, typ))
+            for c, typ in lfields
+        }
+        cols.update({_RIGHT + c: t.column(c).cast(typ) for c, typ in rfields})
+        cols[_SIDE] = pa.array(np.ones(n, np.int8))
+        return pa.table(cols)
+
+    both = left.map_batches(tag_left, batch_format="pyarrow").union(
+        right.map_batches(tag_right, batch_format="pyarrow")
+    )
+    lnames = [c for c, _ in lfields]
+
+    def per_part(g: pa.Table) -> pa.Table:
+        is_r = pc.equal(g.column(_SIDE), 1)
+        lg = g.filter(pc.invert(is_r)).select(lnames)
+        rt = g.filter(is_r)
+        rg = pa.table({
+            c: rt.column(on) if c == right_on else rt.column(_RIGHT + c)
+            for c in rs.names
+        })
+        return fn(lg, rg)
+
+    return keyed_partition_map_groups(
+        both, on, per_part, num_partitions=num_partitions,
+        batch_format="pyarrow",
+    )
 
 
 def partitioned_aggregate(

@@ -101,6 +101,25 @@ def hash_str_u64(values: Sequence[str]) -> np.ndarray:
     )
 
 
+def hash_str_keys(arr) -> np.ndarray:
+    """Deterministic uint64 partitioning hash of a string array. Vectorized
+    via polars' Rust hash kernel (fixed seed → stable across processes for
+    the pinned polars version; only used WITHIN one job as a partitioner,
+    where equal keys → equal hash is the sole requirement). Falls back to
+    the md5-based python loop if polars is unavailable."""
+    import pyarrow as pa
+
+    a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
+    try:
+        import polars as pl
+
+        s = pl.from_arrow(a)
+        return s.hash(seed=0).to_numpy().astype(np.uint64)
+    except Exception:  # noqa: BLE001 — polars missing or arrow bridge change
+        vals = a.to_pylist()
+        return hash_str_u64(["" if v is None else v for v in vals])
+
+
 def key_i64(col) -> np.ndarray:
     """int64 join/lookup keys for an Arrow id column: integer ids pass
     through exactly; string ids hash (md5-u64 — a collision surfaces as

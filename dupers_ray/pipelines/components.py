@@ -27,6 +27,8 @@ import pyarrow as pa
 
 import ray.data
 
+from dupers_ray.functions.grouping import keyed_partition_map_groups
+
 
 logger = logging.getLogger(__name__)
 
@@ -116,11 +118,6 @@ class _RoundStats:
 
     def get(self, rnd: int) -> tuple[int, int]:
         return self._n.get(rnd, 0), self._chk.get(rnd, 0)
-
-
-def _add_part(t: pa.Table, *, col: str, p: int) -> pa.Table:
-    v = np.asarray(t.column(col), dtype=np.uint64)
-    return t.append_column("__part", pa.array((v % np.uint64(p)).astype(np.int64)))
 
 
 def _edge_sort_dedup(u: np.ndarray, v: np.ndarray):
@@ -217,18 +214,17 @@ def components_distributed(
         d = np.asarray(t.column("dst"), dtype=np.uint64)
         return pa.table({"u": pa.array(np.concatenate([s, d]))})
 
-    nodes = _sever(
-        edges.map_batches(explode, batch_format="pyarrow")
-        .map_batches(_add_part, fn_kwargs={"col": "u", "p": num_partitions},
-                     batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(
-            lambda g: pa.table(
-                {"u": pa.array(np.unique(np.asarray(g.column("u"), np.uint64)))}
-            ),
-            batch_format="pyarrow",
+    def by_u(ds, fn):
+        return keyed_partition_map_groups(
+            ds, "u", fn, num_partitions=num_partitions, batch_format="pyarrow"
         )
-    )
+
+    nodes = _sever(by_u(
+        edges.map_batches(explode, batch_format="pyarrow"),
+        lambda g: pa.table(
+            {"u": pa.array(np.unique(np.asarray(g.column("u"), np.uint64)))}
+        ),
+    ))
 
     def init_edges(t: pa.Table) -> pa.Table:
         s = np.asarray(t.column("src"), dtype=np.uint64)
@@ -250,19 +246,8 @@ def components_distributed(
     prev: tuple[int, int] | None = None
     converged = False
     for rnd in range(max_rounds):
-        big = (
-            E.map_batches(doubled, batch_format="pyarrow")
-            .map_batches(_add_part, fn_kwargs={"col": "u", "p": num_partitions},
-                         batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(_large_star, batch_format="pyarrow")
-        )
-        E = _sever(
-            big.map_batches(_add_part, fn_kwargs={"col": "u", "p": num_partitions},
-                            batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(_make_small_star(stats, rnd), batch_format="pyarrow")
-        )
+        big = by_u(E.map_batches(doubled, batch_format="pyarrow"), _large_star)
+        E = _sever(by_u(big, _make_small_star(stats, rnd)))
         cur = ray.get(stats.get.remote(rnd))
         logger.info("components round %d: %d edges, chk=%d", rnd + 1, *cur)
         if prev is not None and cur == prev:
@@ -298,13 +283,7 @@ def components_distributed(
         new = np.r_[True, u[1:] != u[:-1]]
         return pa.table({"node": pa.array(u[new]), "cluster_id": pa.array(v[new])})
 
-    return (
-        E.union(selfs)
-        .map_batches(_add_part, fn_kwargs={"col": "u", "p": num_partitions},
-                     batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(assign, batch_format="pyarrow")
-    )
+    return by_u(E.union(selfs), assign)
 
 
 def components(

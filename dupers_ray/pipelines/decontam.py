@@ -30,6 +30,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from dupers_ray.functions.grouping import keyed_partition_map_groups
 from dupers_ray.functions.hashing import hash_str_u64
 from dupers_ray.stages.ngram import shingle_set
 
@@ -551,14 +552,10 @@ def _near_decontaminate_join(
             b = explode_bands(
                 t, bands=minhash.bands, rows=minhash.rows, id_col=id_col
             )
-            bh = b.column("band_hash").to_numpy(zero_copy_only=False)
             return pa.table({
                 "band_hash": b.column("band_hash"),
                 "node": b.column("node"),
                 "side": pa.array(np.full(len(b), side, np.int8)),
-                "__part": pa.array(
-                    (bh % np.uint64(num_partitions)).astype(np.int64)
-                ),
             })
         return f
 
@@ -583,7 +580,9 @@ def _near_decontaminate_join(
             "dst": out["node_y"].to_numpy(dtype=np.uint64),
         })
 
-    pairs = both.groupby("__part").map_groups(cross, batch_format="pandas")
+    pairs = keyed_partition_map_groups(
+        both, "band_hash", cross, num_partitions=num_partitions
+    )
     vcfg = dataclasses.replace(minhash, jaccard_threshold=thr)
     verified = verify_pairs(
         pairs, csigs.union(bsigs), minhash=vcfg,

@@ -8,12 +8,10 @@ yesterday's crawl and today's" is a first-class bulk operator feeding
 the incremental flagship (dupe_clusters_incremental) and retention
 policies on snapshots (state/manifest.snapshot_index).
 
-Shape: both sides carry only (id, digest-prefix-u64, digest) combiner
-rows; ONE union + groupby(id-hash partition) co-groups them; the
-per-partition compare is a vectorized pandas outer merge (keys exist on
-at least one side, so the id column never null-pads — the round-1
-dtype-corruption lesson from anti_join_shuffle applies here and is
-avoided by construction)."""
+Shape: both sides carry only (id, digest) rows; ONE cogroup on the id
+(functions/grouping.cogroup) brings them together; the per-partition
+compare is a vectorized pandas outer merge (keys exist on at least one
+side, so the id column never null-pads)."""
 
 from __future__ import annotations
 
@@ -23,6 +21,7 @@ import pyarrow as pa
 
 import ray.data
 
+from dupers_ray.functions.grouping import cogroup, keyed_partition_map_groups
 from dupers_ray.stages.digest import add_digests, drop_empty
 
 _PARTITIONS = 128
@@ -44,40 +43,28 @@ def snapshot_diff(
     if (content_col is None) == (value_col is None):
         raise ValueError("exactly one of content_col/value_col required")
 
-    def prep(side: str):
-        def f(t: pa.Table) -> pa.Table:
-            if content_col is not None:
-                t = drop_empty(t, content_col=content_col)
-                t = add_digests(t, content_col=content_col)
-                val = t.column("digest")
-            else:
-                val = t.column(value_col).cast(pa.string())
-            ids = t.column(id_col).cast(pa.int64())
-            h = np.asarray(ids, dtype=np.uint64)
-            from dupers_ray.functions.hashing import splitmix64
-
-            part = (splitmix64(h) % np.uint64(_PARTITIONS)).astype(np.int64)
-            return pa.table({
-                id_col: ids,
-                "__val": val,
-                "__side": pa.array([side] * len(t), pa.string()),
-                "__part": pa.array(part),
-            })
-
-        return f
+    def prep(t: pa.Table) -> pa.Table:
+        if content_col is not None:
+            t = drop_empty(t, content_col=content_col)
+            t = add_digests(t, content_col=content_col)
+            val = t.column("digest")
+        else:
+            val = t.column(value_col).cast(pa.string())
+        return pa.table({id_col: t.column(id_col).cast(pa.int64()),
+                         "__val": val.cast(pa.string())})
 
     cols = [id_col] + ([content_col] if content_col else [value_col])
-    l = old.select_columns(cols).map_batches(
-        prep("old"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    r = new.select_columns(cols).map_batches(
-        prep("new"), batch_format="pyarrow", zero_copy_batch=True
-    )
+    sides = [
+        d.select_columns(cols).map_batches(
+            prep, batch_format="pyarrow", zero_copy_batch=True
+        )
+        for d in (old, new)
+    ]
+    schema = pa.schema([(id_col, pa.int64()), ("__val", pa.string())])
 
-    def compare(g: pd.DataFrame) -> pd.DataFrame:
-        a = g[g["__side"] == "old"][[id_col, "__val"]]
-        b = g[g["__side"] == "new"][[id_col, "__val"]]
-        m = a.merge(b, on=id_col, how="outer", suffixes=("_old", "_new"))
+    def compare(a: pa.Table, b: pa.Table) -> pa.Table:
+        m = a.to_pandas().merge(b.to_pandas(), on=id_col, how="outer",
+                                suffixes=("_old", "_new"))
         old_v, new_v = m["__val_old"], m["__val_new"]
         status = np.where(
             old_v.isna(), "added",
@@ -85,14 +72,13 @@ def snapshot_diff(
                      np.where(old_v != new_v, "changed", "same")),
         )
         keep = status != "same"
-        return pd.DataFrame({
-            id_col: m[id_col].to_numpy()[keep],
-            "status": status[keep],
+        return pa.table({
+            id_col: pa.array(m[id_col].to_numpy()[keep], pa.int64()),
+            "status": pa.array(status[keep], pa.string()),
         })
 
-    return l.union(r).groupby("__part").map_groups(
-        compare, batch_format="pandas"
-    )
+    return cogroup(*sides, compare, on=id_col, num_partitions=_PARTITIONS,
+                   left_schema=schema, right_schema=schema)
 
 
 def exact_assign(
@@ -109,9 +95,7 @@ def exact_assign(
     partition).  Output: (id_col, cluster:int64)."""
     import pyarrow.compute as pc
 
-    from dupers_ray.pipelines.exact_dedup import (
-        DEFAULT_PARTITIONS, _add_digest_part, _coalesced,
-    )
+    from dupers_ray.pipelines.exact_dedup import DEFAULT_PARTITIONS
     from dupers_ray.stages.digest import digest_dataset
 
     def split(keep_empty: bool):
@@ -136,10 +120,7 @@ def exact_assign(
         ds.map_batches(split(False), batch_format="pyarrow",
                        zero_copy_batch=True),
         content_col=content_col,
-    ).select_columns([id_col, "digest", "digest_u64"]).map_batches(
-        _add_digest_part, fn_kwargs={"p": DEFAULT_PARTITIONS},
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    ).select_columns([id_col, "digest", "digest_u64"])
 
     def assign(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -151,8 +132,8 @@ def exact_assign(
             "cluster": canon.astype("int64").to_numpy(),
         })
 
-    assigned = _coalesced(full).groupby("__part").map_groups(
-        assign, batch_format="pandas")
+    assigned = keyed_partition_map_groups(
+        full, "digest_u64", assign, num_partitions=DEFAULT_PARTITIONS)
     return assigned.union(empties)
 
 

@@ -10,7 +10,7 @@ Instead of materializing a global digest→path map in RAM (the reference's
 ``Compare`` index, parse.go:101-117), the engine hash-partitions by
 ``digest_u64`` — ONE all-to-all shuffle — and resolves groups independently:
 
-    digest_dataset(ds)  →  groupby(digest_u64)  →  map_groups:
+    digest_dataset(ds)  →  keyed_partition_map_groups(digest_u64):
         per full digest: canonical = min(url); emit pairs (canonical, other)
 
 The uint64 key keeps shuffle payloads small; full-hex equality is re-checked
@@ -19,10 +19,13 @@ inside the group so a u64 prefix collision can never produce a false pair.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pandas as pd
 
 import ray.data
 
+from dupers_ray.functions.grouping import keyed_partition_map_groups
 from dupers_ray.stages.digest import digest_dataset
 
 # Coarse shuffle-partition count: groups are resolved per PARTITION (the
@@ -30,29 +33,6 @@ from dupers_ray.stages.digest import digest_dataset
 # Ray never pays a per-distinct-digest map_groups call — at 10^12 docs a
 # per-digest callback would mean 10^12 Python invocations.
 DEFAULT_PARTITIONS = 256
-
-
-def _add_digest_part(batch, *, p: int):
-    import numpy as np
-    import pyarrow as pa
-
-    v = np.asarray(batch.column("digest_u64"), dtype=np.uint64)
-    return batch.append_column(
-        "__part", pa.array((v % np.uint64(p)).astype(np.int64))
-    )
-
-
-def _coalesced(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Coalesce to ~2 blocks/CPU before the groupby: Ray's sort AllToAll
-    pays seconds of scheduling per hundred blocks regardless of data size
-    (same fix as in near_dedup — measured 4x on fine-grained read blocks)."""
-    try:
-        import ray as _ray
-
-        ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001
-        ncpu = 8
-    return ds.repartition(max(8, 2 * ncpu))
 
 
 def _group_pairs(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
@@ -99,12 +79,9 @@ def exact_dupe_pairs(
     """(canonical url, match_url) pairs — the `dupe` report (J1/D1 parity)."""
     if not has_digests:
         ds = digest_dataset(ds, content_col=content_col)
-    ds = ds.select_columns([id_col, "digest", "digest_u64"]).map_batches(
-        _add_digest_part, fn_kwargs={"p": DEFAULT_PARTITIONS},
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return _coalesced(ds).groupby("__part").map_groups(
-        _group_pairs, fn_kwargs={"id_col": id_col}, batch_format="pandas"
+    return keyed_partition_map_groups(
+        ds.select_columns([id_col, "digest", "digest_u64"]), "digest_u64",
+        partial(_group_pairs, id_col=id_col), num_partitions=DEFAULT_PARTITIONS,
     )
 
 
@@ -121,14 +98,11 @@ def exact_canonical(
     keep_cols = keep_cols or []
     if not has_digests:
         ds = digest_dataset(ds, content_col=content_col)
-    ds = ds.select_columns([id_col, "digest", "digest_u64", *keep_cols]).map_batches(
-        _add_digest_part, fn_kwargs={"p": DEFAULT_PARTITIONS},
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return _coalesced(ds).groupby("__part").map_groups(
-        _group_canonical,
-        fn_kwargs={"id_col": id_col, "keep_cols": keep_cols},
-        batch_format="pandas",
+    return keyed_partition_map_groups(
+        ds.select_columns([id_col, "digest", "digest_u64", *keep_cols]),
+        "digest_u64",
+        partial(_group_canonical, id_col=id_col, keep_cols=keep_cols),
+        num_partitions=DEFAULT_PARTITIONS,
     )
 
 
@@ -170,10 +144,7 @@ def soft_dedup_weights(
 
     if not has_digests:
         ds = digest_dataset(ds, content_col=content_col)
-    ds = ds.select_columns([id_col, "digest", "digest_u64"]).map_batches(
-        _add_digest_part, fn_kwargs={"p": DEFAULT_PARTITIONS},
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return _coalesced(ds).groupby("__part").map_groups(
-        _group_weights, batch_format="pandas"
+    return keyed_partition_map_groups(
+        ds.select_columns([id_col, "digest", "digest_u64"]), "digest_u64",
+        _group_weights, num_partitions=DEFAULT_PARTITIONS,
     )

@@ -1,16 +1,17 @@
 """Hash-join helpers.
 
-Every join is an explicit co-group join: tag both sides, union, group by
-key hash, join per group — one all-to-all shuffle.
+Every join is an explicit co-group join (functions/grouping.cogroup: tag
+both sides, union, group by key hash) with an Arrow join per partition —
+one all-to-all shuffle.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from dupers_ray.functions.grouping import cogroup
 
 
 def hash_join(
@@ -46,28 +47,6 @@ def hash_join(
     )
 
 
-def _arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
-    """Dataset schema as a pyarrow.Schema (may execute a lazy sub-DAG —
-    prefer passing schemas explicitly on hot paths). Pandas-block
-    datasets report numpy dtypes / Python classes instead of Arrow types;
-    map those through pandas (one empty Series per column) so joins work
-    on either block format."""
-    s = ds.schema()
-    fields = []
-    for name, typ in zip(s.names, s.types):
-        if not isinstance(typ, pa.DataType):
-            import numpy as np
-            import pandas as pd
-
-            if typ is object or typ == np.dtype("O"):
-                at = pa.string()  # engine object columns are string ids
-            else:
-                at = pa.Array.from_pandas(pd.Series([], dtype=typ)).type
-            typ = at
-        fields.append((name, typ))
-    return pa.schema(fields)
-
-
 def cogroup_join(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
@@ -80,9 +59,9 @@ def cogroup_join(
     right_schema: "pa.Schema | None" = None,
     dedup_left: bool = False,
 ) -> "ray.data.Dataset":
-    """Inner/left join via tagged union + groupby(hash(key) % P) + per-group
-    Arrow join. Keys must be integer-typed (the engine joins on uint64
-    node ids / hashes).
+    """Inner/left join via :func:`~dupers_ray.functions.grouping.cogroup`
+    + a per-partition Arrow join. Keys may be integer or string: the key
+    hash only routes rows, the Arrow join compares the real keys.
 
     ``dedup_left=True`` drops duplicate left rows (full-row dedup) inside
     each join partition BEFORE joining. Because left rows co-locate by the
@@ -90,66 +69,21 @@ def cogroup_join(
     share the key — e.g. cross-band duplicate candidate pairs (same src) —
     without a dedicated dedup shuffle."""
     right_on = right_on or on
-    lschema = left_schema if left_schema is not None else _arrow_schema(left)
-    rschema = right_schema if right_schema is not None else _arrow_schema(right)
-    lcols = list(lschema.names)
-    rcols = [c for c in rschema.names if c != right_on]
-    # union() needs one schema: pad each side with nulls for the other's cols
-    all_fields: list[tuple[str, pa.DataType]] = []
-    for n, t in zip(lschema.names, lschema.types):
-        all_fields.append((n, t))
-    for n, t in zip(rschema.names, rschema.types):
-        if n != right_on and n not in lcols:
-            all_fields.append((n, t))
+    join_type = "inner" if how == "inner" else "left outer"
 
-    def tag(side: str, key: str):
-        def f(t: pa.Table) -> pa.Table:
-            kcol = t.column(key)
-            if pa.types.is_string(kcol.type) or pa.types.is_large_string(kcol.type):
-                # string join keys (e.g. url): partition on the vectorized
-                # string hash; the per-group Arrow join compares the actual
-                # strings, so the hash only needs equal-keys → equal-bucket
-                from dupers_ray.pipelines.maintenance import hash_str_keys
-
-                keys = hash_str_keys(kcol)
-            else:
-                keys = np.asarray(kcol, dtype=np.uint64)
-            h = (keys % np.uint64(num_partitions)).astype(np.int64)
-            cols = {}
-            for name, typ in all_fields:
-                src = name if name in t.column_names else (
-                    right_on if side == "R" and name == on else None
-                )
-                if src is not None and src in t.column_names:
-                    cols[name] = t.column(src).cast(typ)
-                else:
-                    cols[name] = pa.nulls(len(t), typ)
-            cols["__h"] = pa.array(h)
-            cols["__side"] = pa.array([side] * len(t))
-            return pa.table(cols)
-
-        return f
-
-    l = left.map_batches(tag("L", on), batch_format="pyarrow")
-    r = right.map_batches(tag("R", right_on), batch_format="pyarrow")
-
-    def merge(g: pa.Table) -> pa.Table:
-        # pure-Arrow per-group join: pandas would coerce null-padded uint64
-        # columns to float64 and CORRUPT node ids above 2^53
-        import pyarrow.compute as pc
-
-        side = g.column("__side")
-        lg = g.filter(pc.equal(side, "L")).select(lcols)
-        if dedup_left and len(lg):
+    def merge(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        lcols = lg.column_names
+        if dedup_left and lg.num_rows:
             lg = lg.group_by(lcols).aggregate([]).select(lcols)
-        rg = g.filter(pc.equal(side, "R")).select([on] + rcols)
-        rg = rg.rename_columns(["__rkey"] + rcols)
-        out = lg.join(
-            rg,
-            keys=[on],
-            right_keys=["__rkey"],
-            join_type="inner" if how == "inner" else "left outer",
+        rcols = [c for c in rg.column_names if c != right_on]
+        rg = rg.rename_columns(
+            ["__rkey" if c == right_on else c for c in rg.column_names]
         )
+        out = lg.join(rg, keys=[on], right_keys=["__rkey"], join_type=join_type)
         return out.select(lcols + rcols)
 
-    return l.union(r).groupby("__h").map_groups(merge, batch_format="pyarrow")
+    return cogroup(
+        left, right, merge, on=on, right_on=right_on,
+        num_partitions=num_partitions,
+        left_schema=left_schema, right_schema=right_schema,
+    )

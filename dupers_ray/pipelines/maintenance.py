@@ -27,6 +27,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from dupers_ray.functions.grouping import arrow_schema, cogroup
+
 
 def counts_by_bucket(ds: "ray.data.Dataset", *, bucket_col: str = "bucket",
                      size_col: str | None = None) -> "ray.data.Dataset":
@@ -176,54 +178,30 @@ def anti_join_shuffle(
     left_schema: "pa.Schema | None" = None,
     flag_col: str | None = None,
 ) -> "ray.data.Dataset":
-    """Hash-partitioned anti (or semi) join for large right sides: tag both
-    sides, union, co-group by key hash, filter left rows by presence of a
-    right row with equal key. One all-to-all shuffle. With ``flag_col``
-    set, no row is filtered — presence comes back as a boolean column
-    (the membership_flags large-index path).
-
-    The R side is padded with TYPED null columns for every left column (the
-    same technique as joins.cogroup_join) and groups are resolved in pure
-    Arrow — a pandas resolve would coerce null-padded int64 columns to
-    float64 and corrupt ids (the round-1 `refresh_anti_shuffle` bug)."""
+    """Hash-partitioned anti (or semi) join for large right sides: one
+    :func:`~dupers_ray.functions.grouping.cogroup` on the key, then per
+    partition keep left rows by presence of a right row with an equal key
+    (right keys are cast to the left key's type). One all-to-all shuffle.
+    With ``flag_col`` set, no row is filtered — presence comes back as a
+    boolean column (the membership_flags large-index path)."""
     rkey = right_key_col or key_col
     if left_schema is None:
-        s = left.schema()
-        left_schema = pa.schema(list(zip(s.names, s.types)))
-    left_cols = list(left_schema.names)
-    left_types = dict(zip(left_schema.names, left_schema.types))
+        left_schema = arrow_schema(left)
 
-    def tag(side: str, key_from: str):
-        def f(batch: pa.Table) -> pa.Table:
-            keys = batch.column(key_from).cast(pa.string())
-            h = pa.array(
-                (hash_str_keys(keys) % np.uint64(1 << 16)).astype(np.int64)
-            )
-            cols = {"__key": keys, "__h": h, "__side": pa.array([side] * len(batch))}
-            for c in left_cols:
-                if side == "L":
-                    cols[c] = batch.column(c)
-                else:
-                    cols[c] = pa.nulls(len(batch), left_types[c])
-            return pa.table(cols)
-        return f
-
-    l = left.map_batches(tag("L", key_col), batch_format="pyarrow")
-    r = right.select_columns([rkey]).map_batches(tag("R", rkey), batch_format="pyarrow")
-
-    def resolve(g: pa.Table) -> pa.Table:
-        side = g.column("__side")
-        lg = g.filter(pc.equal(side, "L"))
-        rkeys = g.filter(pc.equal(side, "R")).column("__key").combine_chunks()
-        present = pc.is_in(lg.column("__key"), value_set=rkeys)
+    def resolve(lg: pa.Table, rg: pa.Table) -> pa.Table:
+        present = pc.is_in(
+            lg.column(key_col), value_set=rg.column(rkey).combine_chunks()
+        )
         if flag_col is not None:
-            return lg.select(left_cols).append_column(
-                flag_col, present.combine_chunks()
-            )
+            return lg.append_column(flag_col, present.combine_chunks())
         keep = present if semi else pc.invert(present)
-        return lg.filter(keep).select(left_cols)
+        return lg.filter(keep)
 
-    return l.union(r).groupby("__h").map_groups(resolve, batch_format="pyarrow")
+    return cogroup(
+        left, right.select_columns([rkey]), resolve, on=key_col,
+        right_on=rkey, left_schema=left_schema,
+        right_schema=pa.schema([(rkey, left_schema.field(key_col).type)]),
+    )
 
 
 def latest_per_key(
@@ -262,25 +240,6 @@ def latest_per_key(
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
     return keyed_partition_map_groups(parts, key_col, resolve)
-
-
-def hash_str_keys(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Deterministic uint64 partitioning hash of a string array. Vectorized
-    via polars' Rust hash kernel (fixed seed → stable across processes for
-    the pinned polars version; only used WITHIN one job as a partitioner,
-    where equal keys → equal hash is the sole requirement). Falls back to
-    the crc-based python loop if polars is unavailable."""
-    a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    try:
-        import polars as pl
-
-        s = pl.from_arrow(a)
-        return s.hash(seed=0).to_numpy().astype(np.uint64)
-    except Exception:  # noqa: BLE001 — polars missing or arrow bridge change
-        from dupers_ray.functions.hashing import hash_str_u64
-
-        vals = a.to_pylist()
-        return hash_str_u64(["" if v is None else v for v in vals])
 
 
 def rename_bucket(ds: "ray.data.Dataset", old: str, new: str,

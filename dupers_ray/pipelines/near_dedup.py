@@ -30,7 +30,7 @@ import pyarrow as pa
 import ray.data
 
 from dupers_ray.config import MinHashConfig, ShingleConfig
-from dupers_ray.functions.hashing import splitmix64
+from dupers_ray.functions.grouping import keyed_partition_map_groups
 from dupers_ray.pipelines.joins import hash_join
 from dupers_ray.stages.bucket_index import candidate_pairs_index
 from dupers_ray.stages.minhash import MinHasher, explode_bands
@@ -163,28 +163,13 @@ def _distinct_pairs(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
     """Globally distinct (src, dst) rows: ONE groupby on a pair-hash
     partition. The bucket index removes cross-band duplicates only within
     a shard, so a consumer that counts pairs needs this extra pass."""
-    num_partitions = 256  # coarse groups; pairs dedup vectorized inside
-
-    def add_pair_part(t: pa.Table) -> pa.Table:
-        s = np.asarray(t.column("src"), dtype=np.uint64)
-        d = np.asarray(t.column("dst"), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            ph = splitmix64(s * np.uint64(0x100000001B3) + d)
-        return t.append_column(
-            "__part", pa.array((ph % np.uint64(num_partitions)).astype(np.int64))
-        )
-
     def first_per_pair(g: pd.DataFrame) -> pd.DataFrame:
         return (
             g.drop_duplicates(subset=["src", "dst"])[["src", "dst"]]
             .reset_index(drop=True)
         )
 
-    return (
-        pairs.map_batches(add_pair_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(first_per_pair, batch_format="pandas")
-    )
+    return keyed_partition_map_groups(pairs, ["src", "dst"], first_per_pair)
 
 
 def verify_pairs(
@@ -583,7 +568,6 @@ def windowed_near_pairs(
                 "ts": pa.array([], pa.int64()),
                 "cell": pa.array([], pa.int64()),
                 "home": pa.array([], pa.bool_()),
-                "__part": pa.array([], pa.int64()),
             })
         mat = sig.reshape(d, bands_n, rows_n).astype(np.uint64)
         bh = np.empty((d, bands_n), np.uint64)
@@ -605,15 +589,6 @@ def windowed_near_pairs(
         home2 = np.concatenate([
             np.ones(n, np.bool_), np.zeros(n, np.bool_),
         ])
-        with np.errstate(over="ignore"):
-            mix = splitmix64(
-                bh2
-                + splitmix64(
-                    band2.astype(np.uint64)
-                    * np.uint64(0x9E3779B97F4A7C15)
-                    + cell2.view(np.uint64)
-                )
-            )
         return pa.table({
             "band": pa.array(band2),
             "bh": pa.array(bh2.view(np.int64)),
@@ -621,7 +596,6 @@ def windowed_near_pairs(
             "ts": pa.array(ts2),
             "cell": pa.array(cell2),
             "home": pa.array(home2),
-            "__part": pa.array((mix % np.uint64(n_parts)).astype(np.int64)),
         })
 
     def cell_pairs(g: pa.Table) -> pa.Table:
@@ -629,7 +603,6 @@ def windowed_near_pairs(
             "src": pa.array([], pa.int64()),
             "dst": pa.array([], pa.int64()),
             "dt": pa.array([], pa.int64()),
-            "__ppart": pa.array([], pa.int64()),
         })
         if not g.num_rows:
             return empty
@@ -662,18 +635,10 @@ def windowed_near_pairs(
         ii, jj, dt = ii[m], jj[m], dt[m]
         if not len(ii):
             return empty
-        src = np.minimum(doc[ii], doc[jj])
-        dst = np.maximum(doc[ii], doc[jj])
-        with np.errstate(over="ignore"):
-            mix = splitmix64(
-                src.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                + dst.view(np.uint64)
-            )
         return pa.table({
-            "src": pa.array(src),
-            "dst": pa.array(dst),
+            "src": pa.array(np.minimum(doc[ii], doc[jj])),
+            "dst": pa.array(np.maximum(doc[ii], doc[jj])),
             "dt": pa.array(dt),
-            "__ppart": pa.array((mix % np.uint64(n_parts)).astype(np.int64)),
         })
 
     def dedup(g: pa.Table) -> pa.Table:
@@ -696,13 +661,15 @@ def windowed_near_pairs(
             "dt_us": pa.array(uniq[:, 2]),
         })
 
-    return (
+    cells = keyed_partition_map_groups(
         ds.map_batches(
             prep, batch_format="pyarrow", batch_size=batch_size,
             zero_copy_batch=True,
-        )
-        .groupby("__part")
-        .map_groups(cell_pairs, batch_format="pyarrow")
-        .groupby("__ppart")
-        .map_groups(dedup, batch_format="pyarrow")
+        ),
+        ["band", "bh", "cell"], cell_pairs,
+        num_partitions=n_parts, batch_format="pyarrow",
+    )
+    return keyed_partition_map_groups(
+        cells, ["src", "dst"], dedup,
+        num_partitions=n_parts, batch_format="pyarrow",
     )

@@ -24,6 +24,7 @@ import pyarrow as pa
 
 import ray.data
 
+from dupers_ray.functions.grouping import keyed_partition_map_groups
 from dupers_ray.stages.digest import add_digests, drop_empty
 
 _PARTITIONS = 256
@@ -92,11 +93,7 @@ def source_overlap(
             .group_by(["digest", "digest_u64", group_col])
             .aggregate([([], "count_all")])
         )
-        g = g.rename_columns(["digest", "digest_u64", group_col, "n"])
-        part = np.asarray(g.column("digest_u64"), dtype=np.uint64)
-        return g.drop_columns(["digest_u64"]).append_column(
-            "__part", pa.array((part % np.uint64(_PARTITIONS)).astype(np.int64))
-        )
+        return g.rename_columns(["digest", "digest_u64", group_col, "n"])
 
     parts = ds.select_columns([content_col, group_col]).map_batches(
         combine, batch_format="pyarrow", zero_copy_batch=True
@@ -109,8 +106,8 @@ def source_overlap(
                 .sum().reset_index())
         return _pair_rows(agg, group_col)
 
-    pair_parts = parts.groupby("__part").map_groups(
-        per_part, batch_format="pandas"
+    pair_parts = keyed_partition_map_groups(
+        parts, "digest_u64", per_part, num_partitions=_PARTITIONS
     )
     final = pair_parts.groupby(["source_a", "source_b"]).sum("n_pairs")
     return final.map_batches(
@@ -171,9 +168,6 @@ def near_source_overlap(
             "cluster": pa.array(key.view(np.int64)),
             group_col: g.column(group_col),
             "n": g.column("n").cast(pa.int64()),
-            "__part": pa.array(
-                (key % np.uint64(_PARTITIONS)).astype(np.int64)
-            ),
         })
 
     parts = labeled.map_batches(
@@ -185,8 +179,8 @@ def near_source_overlap(
                 .sum().reset_index())
         return _pair_rows(agg, group_col, key_col="cluster")
 
-    pair_parts = parts.groupby("__part").map_groups(
-        per_part, batch_format="pandas"
+    pair_parts = keyed_partition_map_groups(
+        parts, "cluster", per_part, num_partitions=_PARTITIONS
     )
     final = pair_parts.groupby(["source_a", "source_b"]).sum("n_pairs")
     return final.map_batches(
@@ -236,10 +230,7 @@ def mirror_hosts(
             .group_by(["digest", "digest_u64", host_col])
             .aggregate([])
         )
-        part = np.asarray(g.column("digest_u64"), dtype=np.uint64)
-        return g.drop_columns(["digest_u64"]).append_column(
-            "__part", pa.array((part % np.uint64(_PARTITIONS)).astype(np.int64))
-        )
+        return g
 
     parts = ds.select_columns([content_col, host_col]).map_batches(
         combine, batch_format="pyarrow", zero_copy_batch=True
@@ -275,20 +266,6 @@ def mirror_hosts(
                           "n_pairs": "n"})
         return pd.concat([size_rows, pairs], ignore_index=True)
 
-    def add_pair_part(t: pa.Table) -> pa.Table:
-        # Ray groupby on STRING keys is a global sort (see the verify
-        # notes / linkgraph.py) — partition on an int hash of the pair
-        # and fold locally instead (measured 27.6 s -> ~7 s at 600 k
-        # pages x 500 hosts)
-        from dupers_ray.pipelines.maintenance import hash_str_keys
-
-        a = t.column("host_a").to_pandas()
-        b = t.column("host_b").to_pandas()
-        h = hash_str_keys(pa.array((a + "\x00" + b).tolist(), pa.string()))
-        return t.append_column(
-            "__pp", pa.array((h % np.uint64(_PARTITIONS)).astype(np.int64))
-        )
-
     def fold_pairs(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
             return pd.DataFrame({
@@ -301,13 +278,15 @@ def mirror_hosts(
             .sum().reset_index()
         )
 
-    agg = (
-        parts.groupby("__part").map_groups(per_part, batch_format="pandas")
-        .map_batches(add_pair_part, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .groupby("__pp").map_groups(fold_pairs, batch_format="pandas")
-        .materialize()  # consumed twice: size extraction + pair finish
-    )
+    # the pair fold partitions on the int hash of (host_a, host_b): Ray
+    # groupby on STRING keys is a global sort (measured 27.6 s -> ~7 s at
+    # 600 k pages x 500 hosts)
+    agg = keyed_partition_map_groups(
+        keyed_partition_map_groups(
+            parts, "digest_u64", per_part, num_partitions=_PARTITIONS
+        ),
+        ["host_a", "host_b"], fold_pairs, num_partitions=_PARTITIONS,
+    ).materialize()  # consumed twice: size extraction + pair finish
 
     sizes = {
         r["host_a"]: int(r["n"])
@@ -391,14 +370,8 @@ def mirror_clusters(
     lref = ray.put(label)
 
     # distinct hosts: per-batch distinct -> host-hash partition -> distinct
-    from dupers_ray.pipelines.maintenance import hash_str_keys
-
-    def host_part(t: pa.Table) -> pa.Table:
-        g = t.select([host_col]).group_by(host_col).aggregate([])
-        h = hash_str_keys(g.column(host_col))
-        return g.append_column(
-            "__part", pa.array((h % np.uint64(64)).astype(np.int64))
-        )
+    def distinct_hosts(t: pa.Table) -> pa.Table:
+        return t.select([host_col]).group_by(host_col).aggregate([])
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -416,9 +389,9 @@ def mirror_clusters(
             ),
         })
 
-    return (
-        ds.select_columns([host_col])
-        .map_batches(host_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(finish, batch_format="pandas")
+    return keyed_partition_map_groups(
+        ds.select_columns([host_col]).map_batches(
+            distinct_hosts, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        host_col, finish, num_partitions=64,
     )

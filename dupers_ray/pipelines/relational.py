@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -29,21 +30,19 @@ import ray.data
 from dupers_ray.pipelines.joins import cogroup_join
 
 
-def _partial_sum_count(
-    key_col: str, val_col: str, n_col: str, sum_col: str
-):
-    """Per-batch combiner: (key, count, sum) partials — Arrow group_by,
-    no Python per row."""
-
-    def f(t: pa.Table) -> pa.Table:
-        g = (
-            t.select([key_col, val_col])
-            .group_by([key_col])
-            .aggregate([(val_col, "count"), (val_col, "sum")])
-        )
-        return g.rename_columns([key_col, n_col, sum_col])
-
-    return f
+def _cents_partials(t: pa.Table) -> pa.Table:
+    """Per-batch combiner: (o_custkey, n_part, rev_part) partials with the
+    revenue in EXACT integer cents (prices are 2-decimal), so the sums
+    are bit-exact in any order — Arrow group_by, no Python per row."""
+    cents = np.rint(
+        np.asarray(t.column("o_totalprice"), np.float64) * 100
+    ).astype(np.int64)
+    g = (
+        pa.table({"o_custkey": t.column("o_custkey"), "c": pa.array(cents)})
+        .group_by(["o_custkey"])
+        .aggregate([("c", "count"), ("c", "sum")])
+    )
+    return g.rename_columns(["o_custkey", "n_part", "rev_part"])
 
 
 def broadcast_lookup(
@@ -104,12 +103,12 @@ def revenue_rollup(
     With ``nation``: per ``n_name`` (customer nation) — the dimension is
     broadcast, never shuffled.
 
-    Output columns: (c_mktsegment | n_name), n_orders, revenue.
+    Output columns: (c_mktsegment | n_name), n_orders, revenue. Revenue
+    is summed in integer cents and divided by 100 once at the end, so it
+    does not depend on block layout or summation order.
     """
     fact = orders.select_columns(["o_custkey", "o_totalprice"]).map_batches(
-        _partial_sum_count("o_custkey", "o_totalprice", "n_part", "rev_part"),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        _cents_partials, batch_format="pyarrow", zero_copy_batch=True,
     )
 
     if nation is None:
@@ -135,7 +134,7 @@ def revenue_rollup(
             [
                 ("o_custkey", pa.int64()),
                 ("n_part", pa.int64()),
-                ("rev_part", pa.float64()),
+                ("rev_part", pa.int64()),
             ]
         ),
         right_schema=dim_schema,
@@ -160,7 +159,9 @@ def revenue_rollup(
             {
                 group_col: t.column(group_col),
                 "n_orders": t.column("sum(n_part)"),
-                "revenue": t.column("sum(rev_part)"),
+                "revenue": pc.divide(
+                    t.column("sum(rev_part)").cast(pa.float64()), 100.0
+                ),
             }
         )
 

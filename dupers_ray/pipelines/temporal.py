@@ -5,8 +5,8 @@ event-time data); semantics match ANSI-SQL restatements DuckDB can run
 (`ASOF LEFT JOIN`, inequality self-join), which is how the driver
 oracles them.
 
-Both are ONE all-to-all shuffle, following the cogroup pattern of
-pipelines/joins.py (tag sides → union → groupby hash → per-group kernel)
+Both are ONE all-to-all shuffle through functions/grouping.cogroup (tag
+sides → union → groupby key hash → per-partition kernel)
 — native ``Dataset.join`` can't express inequality predicates and
 reserves per-operator CPU quotas (joins.py:31-37).
 
@@ -30,10 +30,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
+from dupers_ray.functions.grouping import cogroup
 from dupers_ray.functions.hashing import splitmix64
 
 
@@ -81,39 +81,17 @@ def asof_join(
         list(zip(left_schema.names, left_schema.types))
         + [(n, right_schema.field(n).type) for n in rextra]
     )
-    all_fields = list(zip(out_schema.names, out_schema.types))
-
-    def tag(side: str):
-        def f(t: pa.Table) -> pa.Table:
-            keys = np.asarray(t.column(key), dtype=np.uint64)
-            h = (splitmix64(keys) % np.uint64(num_partitions)).astype(np.int64)
-            cols = {}
-            for name, typ in all_fields:
-                if name in t.column_names:
-                    cols[name] = t.column(name).cast(typ)
-                else:
-                    cols[name] = pa.nulls(len(t), typ)
-            cols["__h"] = pa.array(h)
-            cols["__side"] = pa.array([side] * len(t))
-            return pa.table(cols)
-
-        return f
-
-    l = left.map_batches(tag("L"), batch_format="pyarrow")
-    r = right.map_batches(tag("R"), batch_format="pyarrow")
     rsort = [ts] + ([tiebreak] if tiebreak else [])
     int_extra = [
         n for n in rextra
         if pa.types.is_integer(right_schema.field(n).type)
     ]
 
-    def merge(g: pa.Table) -> pa.Table:
-        side = g.column("__side")
-        lt = g.filter(pc.equal(side, "L")).select(lcols)
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
         if lt.num_rows == 0:
             return out_schema.empty_table()
         lg = lt.to_pandas()
-        rg = g.filter(pc.equal(side, "R")).select([key, ts] + rextra).to_pandas()
+        rg = rt.select([key, ts] + rextra).to_pandas()
         # nullable Int64 so unmatched padding can't coerce ids to float64
         for c in int_extra:
             rg[c] = rg[c].astype("Int64")
@@ -122,7 +100,14 @@ def asof_join(
         out = pd.merge_asof(lg, rg, on=ts, by=key, direction="backward")
         return _to_arrow(out, out_schema)
 
-    return l.union(r).groupby("__h").map_groups(merge, batch_format="pyarrow")
+    # right ts in the left's type: merge_asof needs one ts dtype
+    right_schema = pa.schema([
+        left_schema.field(ts) if f.name == ts else f for f in right_schema
+    ])
+    return cogroup(
+        left, right, merge, on=key, num_partitions=num_partitions,
+        left_schema=left_schema, right_schema=right_schema,
+    )
 
 
 def range_join_banded(
@@ -156,13 +141,7 @@ def range_join_banded(
         list(zip(left_schema.names, left_schema.types))
         + [(n, right_schema.field(n).type) for n in rextra]
     )
-    all_fields = [
-        (n, t) for n, t in
-        list(zip(left_schema.names, left_schema.types))
-        + [(n, right_schema.field(n).type) for n in rextra]
-    ]
     W = np.uint64(band_us)
-    P = np.uint64(num_partitions)
 
     def _us(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
         if pa.types.is_timestamp(col.type):
@@ -177,13 +156,7 @@ def range_join_banded(
     def tag_left(t: pa.Table) -> pa.Table:
         keys = np.asarray(t.column(key), dtype=np.uint64)
         band = (_us(t.column(ts)).astype(np.uint64) // W)
-        code = _code(keys, band)
-        cols = {n: (t.column(n).cast(typ) if n in t.column_names else pa.nulls(len(t), typ))
-                for n, typ in all_fields}
-        cols["__code"] = pa.array(code.view(np.int64))
-        cols["__h"] = pa.array((code % P).astype(np.int64))
-        cols["__side"] = pa.array(["L"] * len(t))
-        return pa.table(cols)
+        return t.append_column("__code", pa.array(_code(keys, band).view(np.int64)))
 
     def tag_right(t: pa.Table) -> pa.Table:
         keys = np.asarray(t.column(key), dtype=np.uint64)
@@ -198,23 +171,11 @@ def range_join_banded(
             np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
         )
         bands = (np.repeat(b0, counts) + offs).astype(np.uint64)
-        rep = t.take(pa.array(idx))
-        code = _code(keys[idx], bands)
-        cols = {n: (rep.column(n).cast(typ) if n in rep.column_names else pa.nulls(len(rep), typ))
-                for n, typ in all_fields}
-        cols["__code"] = pa.array(code.view(np.int64))
-        cols["__h"] = pa.array((code % P).astype(np.int64))
-        cols["__side"] = pa.array(["R"] * len(rep))
-        return pa.table(cols)
+        return t.take(pa.array(idx)).append_column(
+            "__code", pa.array(_code(keys[idx], bands).view(np.int64))
+        )
 
-    l = left.map_batches(tag_left, batch_format="pyarrow")
-    r = right.map_batches(tag_right, batch_format="pyarrow")
-
-    def merge(g: pa.Table) -> pa.Table:
-        side = g.column("__side")
-        is_l = pc.equal(side, "L")
-        lg = g.filter(is_l)
-        rg = g.filter(pc.invert(is_l))
+    def merge(lg: pa.Table, rg: pa.Table) -> pa.Table:
         if lg.num_rows == 0 or rg.num_rows == 0:
             return out_schema.empty_table()
         lcode = np.asarray(lg.column("__code"), dtype=np.int64)
@@ -242,4 +203,11 @@ def range_join_banded(
             cols[n] = rg.column(n).take(rtake)
         return pa.table(cols, schema=out_schema)
 
-    return l.union(r).groupby("__h").map_groups(merge, batch_format="pyarrow")
+    code = pa.field("__code", pa.int64())
+    return cogroup(
+        left.map_batches(tag_left, batch_format="pyarrow"),
+        right.map_batches(tag_right, batch_format="pyarrow"),
+        merge, on="__code", num_partitions=num_partitions,
+        left_schema=left_schema.append(code),
+        right_schema=right_schema.append(code),
+    )

@@ -37,6 +37,8 @@ oracle built on the flagship's shared signature-pipeline SQL.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -45,6 +47,7 @@ import ray
 import ray.data
 
 from dupers_ray.config import DedupConfig
+from dupers_ray.functions.grouping import keyed_partition_map_groups
 
 TIER_KEPT, TIER_EXACT, TIER_NORM, TIER_NEAR = 0, 1, 2, 3
 TIER_NAMES = {TIER_KEPT: "kept", TIER_EXACT: "exact",
@@ -280,15 +283,6 @@ def _tiers_from_fused(
     )
 
     id_col = cfg.id_col
-
-    def part_of(t: pa.Table, col: str) -> pa.Table:
-        k = t.column(col).to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "__part",
-            pa.array(((k * np.uint64(0x9E3779B97F4A7C15))
-                      % np.uint64(_N_PARTS)).astype(np.int64)),
-        )
-
     proj = fused.select_columns(
         [id_col, "digest_u64", "digest_u64b", "norm_u64", "norm_u64b",
          "txt_empty", "norm_empty"]
@@ -299,19 +293,10 @@ def _tiers_from_fused(
     # punctuation-only doc shares sha256('') as its norm key and lands in
     # one partition — bounded by such docs' count, and their rows are
     # 40 B projections, not text.
-    from dupers_ray.functions.grouping import coalesce_for_group_sort
-
-    t12 = (
-        coalesce_for_group_sort(
-            proj.map_batches(part_of, fn_kwargs={"col": "norm_u64"},
-                             batch_format="pyarrow", zero_copy_batch=True),
-            _N_PARTS,
-        )
-        .groupby("__part")
-        .map_groups(_resolve_exact_norm, fn_kwargs={"id_col": id_col},
-                    batch_format="pandas")
-        .materialize()  # small: id + two bools per doc
-    )
+    t12 = keyed_partition_map_groups(
+        proj, "norm_u64", partial(_resolve_exact_norm, id_col=id_col),
+        num_partitions=_N_PARTS,
+    ).materialize()  # small: id + two bools per doc
 
     import pyarrow.compute as pc
 
@@ -346,16 +331,6 @@ def _tiers_from_fused(
     ).materialize()
     clusters = dupe_clusters_from_sigs(content, cfg, mapping_ds=content)
 
-    def near_part(t: pa.Table) -> pa.Table:
-        k = t.column("cluster_id").to_numpy(
-            zero_copy_only=False
-        ).astype(np.uint64)
-        return t.append_column(
-            "__part",
-            pa.array(((k * np.uint64(0x9E3779B97F4A7C15))
-                      % np.uint64(_N_PARTS)).astype(np.int64)),
-        )
-
     def near_removed(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("cluster_id", sort=False)[id_col].transform("min")
         sub = g.loc[g[id_col] != m, id_col]
@@ -366,16 +341,8 @@ def _tiers_from_fused(
             "tier": pd.Series(["near"] * len(sub), dtype="string"),
         })
 
-    from dupers_ray.functions.grouping import coalesce_for_group_sort
-
-    r3 = (
-        coalesce_for_group_sort(
-            clusters.map_batches(near_part, batch_format="pyarrow",
-                                 zero_copy_batch=True),
-            _N_PARTS,
-        )
-        .groupby("__part")
-        .map_groups(near_removed, batch_format="pandas")
+    r3 = keyed_partition_map_groups(
+        clusters, "cluster_id", near_removed, num_partitions=_N_PARTS
     )
 
     def label12(t: pa.Table) -> pa.Table:
@@ -501,16 +468,6 @@ def dedup_tiers_semantic(
         emb_col=emb_col, method=method, **lsh_kwargs,
     )
 
-    def sem_part(t: pa.Table) -> pa.Table:
-        k = t.column("cluster_id").to_numpy(
-            zero_copy_only=False
-        ).astype(np.uint64)
-        return t.append_column(
-            "__part",
-            pa.array(((k * np.uint64(0x9E3779B97F4A7C15))
-                      % np.uint64(_N_PARTS)).astype(np.int64)),
-        )
-
     def sem_removed(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("cluster_id", sort=False)[emb_id_col].transform("min")
         sub = g.loc[g[emb_id_col] != m, emb_id_col]
@@ -519,11 +476,8 @@ def dedup_tiers_semantic(
             "tier": pd.Series(["semantic"] * len(sub), dtype="string"),
         })
 
-    r4 = (
-        clusters.map_batches(sem_part, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(sem_removed, batch_format="pandas")
+    r4 = keyed_partition_map_groups(
+        clusters, "cluster_id", sem_removed, num_partitions=_N_PARTS
     )
     idt = base.schema().base_schema.field(id_col).type \
         if hasattr(base.schema(), "base_schema") else \

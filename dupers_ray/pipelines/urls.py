@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
 import pyarrow as pa
 
 from dupers_ray.stages.urlnorm import canonical_url, registrable_domain
@@ -181,17 +180,9 @@ def revisit_collapse(
     """
     import pandas as pd
 
-    from dupers_ray.pipelines.maintenance import hash_str_keys
+    from dupers_ray.functions.grouping import keyed_partition_map_groups
 
     cols = [url_col, ts_col, digest_col]
-
-    def add_part(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        h = hash_str_keys(t.column(url_col).cast(pa.string()))
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(n_parts)).astype(np.int64))
-        )
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -208,11 +199,8 @@ def revisit_collapse(
         out["ref_ts"] = ref.astype("int64")
         return out
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
+    return keyed_partition_map_groups(
+        ds.select_columns(cols), url_col, per_part, num_partitions=n_parts
     )
 
 
@@ -376,29 +364,26 @@ def meta_refresh_chains(
     ``<meta http-equiv=refresh>`` doorway/moved pages with no HTTP
     Location header.  Extract the refresh target per page (one RE2
     pass, stages/urlnorm.extract_meta_refresh), resolve target url →
-    target doc id with ONE int-hash cogroup join against the corpus'
-    own (url, id) table (pages without a refresh, or pointing outside
+    target doc id with ONE cogroup join on the url string against the
+    corpus' own (url, id) table (pages without a refresh, or pointing outside
     the corpus, become self-pointing roots), then pointer-double
     (stages/chains.resolve_pointers).  Output: (id, root, hops)."""
     import pyarrow.compute as pc
 
     from dupers_ray.pipelines.joins import cogroup_join
-    from dupers_ray.pipelines.maintenance import hash_str_keys
     from dupers_ray.stages.chains import resolve_pointers
     from dupers_ray.stages.urlnorm import extract_meta_refresh
 
     def left_rows(t: pa.Table) -> pa.Table:
         ext = extract_meta_refresh(t, html_col=html_col, url_col=url_col)
-        tgt = pc.fill_null(ext.column("refresh_url"), "")
         return pa.table({
             id_col: t.column(id_col).cast(pa.int64()),
-            "key": pa.array(hash_str_keys(tgt).view(np.int64)),
+            "key": pc.fill_null(ext.column("refresh_url"), "").cast(pa.string()),
         })
 
     def idmap_rows(t: pa.Table) -> pa.Table:
         return pa.table({
-            "key": pa.array(
-                hash_str_keys(t.column(url_col)).view(np.int64)),
+            "key": t.column(url_col).cast(pa.string()),
             "tgt": t.column(id_col).cast(pa.int64()),
         })
 
@@ -406,7 +391,11 @@ def meta_refresh_chains(
         left_rows, batch_format="pyarrow", zero_copy_batch=True)
     idmap = pages.map_batches(
         idmap_rows, batch_format="pyarrow", zero_copy_batch=True)
-    joined = cogroup_join(left, idmap, on="key", how="left")
+    joined = cogroup_join(
+        left, idmap, on="key", how="left",
+        left_schema=pa.schema([(id_col, pa.int64()), ("key", pa.string())]),
+        right_schema=pa.schema([("key", pa.string()), ("tgt", pa.int64())]),
+    )
 
     def edges(t: pa.Table) -> pa.Table:
         ids = t.column(id_col)

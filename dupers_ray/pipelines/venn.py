@@ -41,6 +41,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from dupers_ray.functions.grouping import keyed_partition_map_groups
 from dupers_ray.functions.hashing import node_ids
 
 EXACT_BIT = 1
@@ -102,14 +103,6 @@ def dedup_method_venn(
     # raw-digest group arrives complete in its norm group's partition (the
     # tiers _resolve_exact_norm co-location argument; here the norm rule is
     # INDEPENDENT of the exact rule — each method flags as if it ran alone)
-    def part_of(t: pa.Table) -> pa.Table:
-        k = t.column("norm_u64").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "__part",
-            pa.array(((k * np.uint64(0x9E3779B97F4A7C15))
-                      % np.uint64(_N_PARTS)).astype(np.int64)),
-        )
-
     def resolve_exact_norm_flags(g: pd.DataFrame) -> pa.Table:
         ids = g[id_col].to_numpy()
         bits = np.zeros(len(g), np.int64)
@@ -135,16 +128,11 @@ def dedup_method_venn(
             "bit": pa.array(bits[hit]),
         })
 
-    en_f = (
+    en_f = keyed_partition_map_groups(
         fused.select_columns([id_col, "digest_u64", "digest_u64b",
                               "norm_u64", "norm_u64b",
-                              "txt_empty", "norm_empty"])
-        .map_batches(part_of, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(
-            lambda df: resolve_exact_norm_flags(df.drop(columns="__part")),
-            batch_format="pandas",
-        )
+                              "txt_empty", "norm_empty"]),
+        "norm_u64", resolve_exact_norm_flags, num_partitions=_N_PARTS,
     )
 
     # bit 4 — flagship near-dup clusters over the STORED signatures:

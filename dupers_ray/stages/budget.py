@@ -36,6 +36,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from dupers_ray.functions.grouping import (
+    coalesced_map_groups,
+    keyed_partition_map_groups,
+)
 from dupers_ray.functions.hashing import splitmix64
 from dupers_ray.stages.textstats import _TOKEN_RE
 
@@ -120,8 +124,8 @@ def select_token_budget(
             "selected": pa.array(sel[inv]),
         })
 
-    return compact.groupby("__bucket").map_groups(
-        resolve, batch_format="pyarrow"
+    return coalesced_map_groups(
+        compact, "__bucket", resolve, num_keys=n_buckets, batch_format="pyarrow"
     )
 
 
@@ -227,8 +231,9 @@ def select_mix_budget(
             "selected": pa.array(sel[inv]),
         })
 
-    return compact.groupby("__sb").map_groups(
-        resolve, batch_format="pyarrow"
+    return coalesced_map_groups(
+        compact, "__sb", resolve, num_keys=(unknown + 1) * n_buckets,
+        batch_format="pyarrow",
     )
 
 
@@ -306,17 +311,8 @@ def layout_from_stats(
     stage (see packed_windows_checkpointed)."""
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001
-        ncpu = 8
-    compact = stats_ds.repartition(
-        # coalesce fine-grained read blocks before the grouped passes:
-        # Ray's sort AllToAll pays scheduling per block regardless of
-        # data size (same fix as exact_dedup._coalesced; stats rows are
-        # 16 B/doc, so the copy is nothing)
-        max(8, 2 * ncpu)
-    ).materialize()  # consumed 3x: min/max probe, bucket totals, resolve
+    # consumed 3x: min/max probe, bucket totals, resolve
+    compact = stats_ds.materialize()
 
     if compact.count() == 0:
         return compact.map_batches(
@@ -396,8 +392,8 @@ def layout_from_stats(
             "last_seq": pa.array((start + n) // seq_len),
         })
 
-    return keyed.groupby("__bucket").map_groups(
-        resolve, batch_format="pyarrow"
+    return coalesced_map_groups(
+        keyed, "__bucket", resolve, num_keys=n_buckets, batch_format="pyarrow"
     )
 
 
@@ -495,10 +491,6 @@ def windows_from_layout(
             "chk": out["chk"].to_numpy(np.uint64).view(np.int64),
         })
 
-    def add_part(t: pa.Table) -> pa.Table:
-        w = np.asarray(t.column("seq_id"), dtype=np.int64)
-        return t.append_column("__part", pa.array(w % 64))
-
     frags = joined.map_batches(
         # explicit batch_size: the cogroup join emits partition-sized
         # blocks, and one ~19k-doc/4M-token batch thrashes far past
@@ -506,7 +498,7 @@ def windows_from_layout(
         # docs when sliced to 8k docs/batch)
         fragments, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=8192,
-    ).map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    )
 
     def assemble(g: pd.DataFrame) -> pd.DataFrame:
         """Per seq_id-hash partition: vectorized per-window reduce (one
@@ -528,7 +520,7 @@ def windows_from_layout(
         out["checksum"] = out["checksum"].astype("uint64")  # wraps mod 2^64
         return out
 
-    return frags.groupby("__part").map_groups(assemble, batch_format="pandas")
+    return keyed_partition_map_groups(frags, "seq_id", assemble, num_partitions=64)
 
 
 def chunk_docs(

@@ -167,7 +167,6 @@ def cdc_dedup_stats(
         return pa.table({
             "h": pa.array(h.view(np.int64)),
             "length": t.column("length"),
-            "__part": pa.array((h % np.uint64(n_parts)).astype(np.int64)),
         })
 
     def partial(g: pa.Table) -> pa.Table:
@@ -190,10 +189,11 @@ def cdc_dedup_stats(
 
     import pandas as pd
 
-    parts = (
-        ds.map_batches(chunks, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(partial, batch_format="pyarrow")
+    from dupers_ray.functions.grouping import keyed_partition_map_groups
+
+    parts = keyed_partition_map_groups(
+        ds.map_batches(chunks, batch_format="pyarrow", zero_copy_batch=True),
+        "h", partial, num_partitions=n_parts, batch_format="pyarrow",
     )
     # <= n_parts partial rows — a driver-side sum of a tiny frame
     df = parts.to_pandas()

@@ -37,6 +37,7 @@ Scale design — candidates never compare text:
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -45,9 +46,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from dupers_ray.functions.grouping import keyed_partition_map_groups
+
 logger = logging.getLogger(__name__)
 
-_GRAM_MOD = np.uint64(256)  # partition fan-out for the gram groupby
+_GRAM_PARTITIONS = 256  # partition fan-out for the gram groupby
 
 
 class _GramRows:
@@ -192,17 +195,9 @@ def containment_pairs(
         concurrency=(1, 8),
     )
 
-    def add_part(t: pa.Table) -> pa.Table:
-        v = np.asarray(t.column("gram"), dtype=np.int64).view(np.uint64)
-        return t.append_column(
-            "__part", pa.array((v % _GRAM_MOD).astype(np.int64))
-        )
-
-    candidates = (
-        grams.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(_emit_pairs, fn_kwargs={"max_bucket": max_bucket},
-                    batch_format="pyarrow")
+    candidates = keyed_partition_map_groups(
+        grams, "gram", functools.partial(_emit_pairs, max_bucket=max_bucket),
+        num_partitions=_GRAM_PARTITIONS, batch_format="pyarrow",
     )
     return _verify_containment(
         candidates, ds, id_col=id_col, text_col=text_col,

@@ -231,9 +231,9 @@ def annotate_pairs_prefix_distance(
         prefixes, batch_format="pyarrow", zero_copy_batch=True
     )
     pfx_schema = pa.schema([("__pid", pa.int64()), ("pfx", pa.string())])
-    from dupers_ray.pipelines.joins import _arrow_schema
+    from dupers_ray.functions.grouping import arrow_schema
 
-    pair_schema = _arrow_schema(pairs)
+    pair_schema = arrow_schema(pairs)
     j1 = hash_join(
         pairs, pfx_ds, on=left_col, right_on="__pid",
         left_schema=pair_schema, right_schema=pfx_schema,

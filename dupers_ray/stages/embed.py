@@ -14,12 +14,18 @@ Patterns:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
 import ray
 import ray.data
 
+from dupers_ray.functions.grouping import (
+    coalesced_map_groups,
+    keyed_partition_map_groups,
+)
 from dupers_ray.functions.hashing import splitmix64
 
 
@@ -98,18 +104,27 @@ def topk_cosine(
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    import pandas as pd
+    return _final_topk(partials, k=k, id_col=id_col)
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", id_col], ascending=[False, True], kind="mergesort")
-        return g.head(k)[["query_id", id_col, "score"]]
 
-    from dupers_ray.functions.grouping import coalesce_for_group_sort
+def _topk_rows(g, *, k: int, id_col: str):
+    """Top-``k`` rows per query id (score desc, id asc) of a frame
+    holding one or many query ids."""
+    g = g.sort_values(["query_id", "score", id_col],
+                      ascending=[True, False, True], kind="mergesort")
+    return g.groupby("query_id", sort=False).head(k)[
+        ["query_id", id_col, "score"]
+    ]
 
-    # >=4 query ids per sort reducer: typed non-empty partitions
-    return coalesce_for_group_sort(partials, len(qids)).groupby(
-        "query_id"
-    ).map_groups(merge, batch_format="pandas")
+
+def _final_topk(partials: "ray.data.Dataset", *, k: int, id_col: str):
+    """Merge per-block (query_id, id, score) candidates into the final
+    top-k per query. Query ids are unbounded (knn graphs query every
+    row), so partitions reduce many queries per call."""
+    return keyed_partition_map_groups(
+        partials, "query_id",
+        functools.partial(_topk_rows, k=k, id_col=id_col),
+    )
 
 
 def quantize_sq8(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,18 +207,7 @@ def topk_cosine_sq8(
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    import pandas as pd
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", id_col], ascending=[False, True],
-                          kind="mergesort")
-        return g.head(k)[["query_id", id_col, "score"]]
-
-    from dupers_ray.functions.grouping import coalesce_for_group_sort
-
-    return coalesce_for_group_sort(partials, len(qids)).groupby(
-        "query_id"
-    ).map_groups(merge, batch_format="pandas")
+    return _final_topk(partials, k=k, id_col=id_col)
 
 
 def knn_graph(
@@ -274,8 +278,6 @@ def knn_graph_ivf(
     (each member lives in exactly one cell) → EXACT kNN; the driver
     value-checks the full machinery at that setting, recall at lower
     n_probe is pytest-measured against :func:`knn_graph`."""
-    import pandas as pd
-
     import ray.data as rd
 
     from dupers_ray.functions.arrowview import binary_matrix
@@ -360,18 +362,10 @@ def knn_graph_ivf(
             "score": pa.array(sel_scores.ravel(order="F")[keep]),
         })
 
-    partials = routed.groupby("cell").map_groups(
-        cell_topk, batch_format="pyarrow"
+    partials = coalesced_map_groups(
+        routed, "cell", cell_topk, num_keys=len(cents), batch_format="pyarrow"
     )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", id_col], ascending=[False, True],
-                          kind="mergesort")
-        return g.head(k)[["query_id", id_col, "score"]]
-
-    return partials.groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return _final_topk(partials, k=k, id_col=id_col)
 
 
 def cosine_pairs_broadcast(
@@ -539,26 +533,13 @@ def cosine_pairs_lsh(
         return pa.table({"bucket": pa.array(keys),
                          id_col: pa.array(np.tile(ids, n_tables), pa.int64())})
 
-    def add_part(t: pa.Table) -> pa.Table:
-        v = np.asarray(t.column("bucket"), dtype=np.uint64)
-        return t.append_column("__part", pa.array((v % np.uint64(256)).astype(np.int64)))
-
-    candidates = (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(_candidate_id_pairs, fn_kwargs={"id_col": id_col},
-                    batch_format="pyarrow")
+    candidates = keyed_partition_map_groups(
+        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True),
+        "bucket", functools.partial(_candidate_id_pairs, id_col=id_col),
+        batch_format="pyarrow",
     )
 
     # cross-table pair dedup BEFORE verify (saves verify work)
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("a"), dtype=np.uint64)
-        b = np.asarray(t.column("b"), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h = splitmix64(a * np.uint64(0x100000001B3) + b)
-        return t.append_column("__part", pa.array((h % np.uint64(256)).astype(np.int64)))
-
     def dedup(g: pa.Table) -> pa.Table:
         from dupers_ray.functions.pairs import unique_pairs
 
@@ -568,10 +549,8 @@ def cosine_pairs_lsh(
         return pa.table({"a": pa.array(a, pa.int64()),
                          "b": pa.array(b, pa.int64())})
 
-    pairs = (
-        candidates.map_batches(pair_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(dedup, batch_format="pyarrow")
+    pairs = keyed_partition_map_groups(
+        candidates, ["a", "b"], dedup, batch_format="pyarrow"
     )
     return _verify_cosine_pairs(
         pairs, ds, threshold=threshold, id_col=id_col, emb_col=emb_col,
@@ -848,15 +827,4 @@ def topk_cosine_ivf(
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    import pandas as pd
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", id_col], ascending=[False, True], kind="mergesort")
-        return g.head(k)[["query_id", id_col, "score"]]
-
-    from dupers_ray.functions.grouping import coalesce_for_group_sort
-
-    # >=4 query ids per sort reducer: typed non-empty partitions
-    return coalesce_for_group_sort(partials, len(qids)).groupby(
-        "query_id"
-    ).map_groups(merge, batch_format="pandas")
+    return _final_topk(partials, k=k, id_col=id_col)

@@ -31,7 +31,10 @@ import pyarrow as pa
 
 import ray.data
 
-from dupers_ray.functions.grouping import partitioned_aggregate
+from dupers_ray.functions.grouping import (
+    keyed_partition_map_groups,
+    partitioned_aggregate,
+)
 from dupers_ray.stages.textstats import _TOKEN_RE
 
 
@@ -75,27 +78,6 @@ def repetition_stats(
 _GRAM_PARTITIONS = 256
 
 
-def _by_gram_partition(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Append ``__part = gram % P`` and coalesce blocks (the sort
-    AllToAll pays per-block scheduling; same fix as exact_dedup)."""
-    def add_part(t: pa.Table) -> pa.Table:
-        gr = np.asarray(t.column("gram"), dtype=np.int64).view(np.uint64)
-        return t.append_column(
-            "__part",
-            pa.array((gr % np.uint64(_GRAM_PARTITIONS)).astype(np.int64)),
-        )
-
-    try:
-        import ray as _r
-
-        ncpu = int(_r.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001
-        ncpu = 8
-    return ds.map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).repartition(max(8, 2 * ncpu))
-
-
 def dup_ngram_coverage(
     docs: "ray.data.Dataset",
     *,
@@ -132,9 +114,8 @@ def dup_ngram_coverage(
     # the raw gram key costs one Python group-call per DISTINCT gram —
     # ~10^8 calls on a 600k-page corpus (measured pathological). The
     # _GRAM_PARTITIONS-way partition resolves each group with ONE
-    # vectorized sort + reduceat pass instead (exact_dedup's __part
-    # pattern; grams never split across partitions, so per-partition
-    # run-length counts are globally exact).
+    # vectorized sort + reduceat pass instead (grams never split across
+    # partitions, so per-partition run-length counts are globally exact).
     def tag_shared_part(g: pa.Table) -> pa.Table:
         gr = np.asarray(g.column("gram"), dtype=np.int64)
         ids = np.asarray(g.column(id_col), dtype=np.int64)
@@ -156,8 +137,9 @@ def dup_ngram_coverage(
             "shared": pa.array(np.bincount(inv, weights=shared).astype(np.int64)),
         })
 
-    tagged = _by_gram_partition(gram_rows).groupby("__part").map_groups(
-        tag_shared_part, batch_format="pyarrow"
+    tagged = keyed_partition_map_groups(
+        gram_rows, "gram", tag_shared_part,
+        num_partitions=_GRAM_PARTITIONS, batch_format="pyarrow",
     )
     # per-doc fold of the <=_GRAM_PARTITIONS partials/doc: hash-partitioned
     # reduce, not Ray's sort-based aggregate — the doc key is unbounded
@@ -258,8 +240,9 @@ def content_novelty(
             "novel": pa.array(np.bincount(inv, weights=novel).astype(np.int64)),
         })
 
-    tagged = _by_gram_partition(gram_rows).groupby("__part").map_groups(
-        tag_novel_part, batch_format="pyarrow"
+    tagged = keyed_partition_map_groups(
+        gram_rows, "gram", tag_novel_part,
+        num_partitions=_GRAM_PARTITIONS, batch_format="pyarrow",
     )
     # hash-partitioned per-doc fold (see dup_ngram_coverage)
     out = partitioned_aggregate(

@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from dupers_ray.functions.grouping import coalesce_for_group_sort
+from dupers_ray.functions.grouping import coalesced_map_groups
 from dupers_ray.stages.embed import _mat, _norm
 
 
@@ -207,13 +207,9 @@ def semantic_dedup(
     tagged = ds.select_columns([id_col, emb_col]).map_batches(
         tag, batch_format="pyarrow", zero_copy_batch=True
     )
-    # Coalesce to >= 8 cells per reducer before the groupby's range sort:
-    # with reducers near the distinct-key count the sampled boundaries
-    # duplicate, yielding empty SCHEMA-LESS partitions (the `RefBundle
-    # with a different schema` warnings in the r4 bench tail).
-    tagged = coalesce_for_group_sort(tagged, n_clusters)
-    return tagged.groupby("cell").map_groups(
-        _prune_cell, batch_format="pyarrow",
+    return coalesced_map_groups(
+        tagged, "cell", _prune_cell, num_keys=n_clusters,
+        batch_format="pyarrow",
         fn_kwargs={"id_col": id_col, "emb_col": emb_col,
                    "threshold": threshold, "block_rows": block_rows},
     )

@@ -181,9 +181,6 @@ def hamming_pairs_from_sigs(
                 "bkey": pa.array(bkey.reshape(-1)),
                 "node": pa.array(node[rep]),
                 "simhash": pa.array(sig[rep]),
-                "__part": pa.array(
-                    (bkey.reshape(-1) % np.uint64(num_partitions)).astype(np.int64)
-                ),
             }
         )
 
@@ -226,38 +223,18 @@ def hamming_pairs_from_sigs(
             }
         )
 
-    from dupers_ray.functions.grouping import coalesce_for_group_sort
+    from dupers_ray.functions.grouping import keyed_partition_map_groups
 
-    pairs = (
-        coalesce_for_group_sort(
-            sigs.map_batches(
-                explode, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            num_partitions,
-        )
-        .groupby("__part")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+    pairs = keyed_partition_map_groups(
+        sigs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+        "bkey", pairs_in_bucket, num_partitions=num_partitions,
     )
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("src"), dtype=np.uint64)
-        b = np.asarray(t.column("dst"), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h = splitmix64(a * np.uint64(0x100000001B3) + b)
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(num_partitions)).astype(np.int64))
-        )
 
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(subset=["src", "dst"]).reset_index(drop=True)[
             ["src", "dst", "hamming"]
         ]
 
-    return (
-        coalesce_for_group_sort(
-            pairs.map_batches(pair_part, batch_format="pyarrow"),
-            num_partitions,
-        )
-        .groupby("__part")
-        .map_groups(dedup, batch_format="pandas")
+    return keyed_partition_map_groups(
+        pairs, ["src", "dst"], dedup, num_partitions=num_partitions
     )

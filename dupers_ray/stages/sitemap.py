@@ -37,6 +37,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from dupers_ray.functions.hashing import hash_str_keys
+
 
 def _as_string(col) -> pa.Array:
     if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
@@ -112,6 +114,29 @@ def extract_sitemaps(
     )
 
 
+def sorted_str_lookup(skeys: np.ndarray, surls, h: np.ndarray, urls):
+    """(pos, hit) of each string of ``urls`` (hashes ``h``) in a table
+    sorted by hash ``skeys`` whose strings are ``surls``. A hit needs an
+    equal hash AND an equal string, so two strings sharing a 64-bit hash
+    never match; ``pos`` is the first matching entry."""
+    pos = np.zeros(len(h), np.int64)
+    hit = np.zeros(len(h), bool)
+    lo = np.searchsorted(skeys, h, side="left")
+    hi = np.searchsorted(skeys, h, side="right")
+    cand = np.flatnonzero(lo < hi)
+    k = 0
+    while len(cand):  # one pass per entry of the longest equal-hash run
+        p = lo[cand] + k
+        eq = pc.fill_null(pc.equal(
+            surls.take(pa.array(p)), urls.take(pa.array(cand))
+        ), False).to_numpy(zero_copy_only=False)
+        pos[cand[eq]] = p[eq]
+        hit[cand[eq]] = True
+        cand = cand[~eq & (p + 1 < hi[cand])]
+        k += 1
+    return pos, hit
+
+
 def resolve_sitemap_index(
     ds: "ray.data.Dataset",
     *,
@@ -131,11 +156,10 @@ def resolve_sitemap_index(
     sitemap, so it broadcasts (sorted-hash searchsorted lookup) under
     ``broadcast_limit`` and falls back to the cogroup join above it —
     the count-gated switch the library uses everywhere
-    (maintenance.anti_join_auto).  Output: (host_id, loc), one row per
+    (maintenance.anti_join_auto).  Both paths match on the url STRING;
+    the hash only orders or routes.  Output: (host_id, loc), one row per
     resolved page; children no index references are dropped."""
     import functools as _ft
-
-    from dupers_ray.pipelines.maintenance import hash_str_keys
 
     def index_entries(t: pa.Table) -> pa.Table:
         mask = pc.match_substring(
@@ -166,23 +190,23 @@ def resolve_sitemap_index(
         import ray as _ray
 
         df = idx.to_pandas()
-        keys = hash_str_keys(pa.array(df["child_url"], pa.string()))
-        order = np.argsort(keys)
-        ref = _ray.put((keys[order], df[id_col].to_numpy()[order]))
+        urls = pa.array(df["child_url"], pa.string())
+        keys = hash_str_keys(urls)
+        order = np.argsort(keys, kind="stable")
+        ref = _ray.put((keys[order], urls.take(pa.array(order)),
+                        df[id_col].to_numpy()[order]))
 
         def attach(t: pa.Table) -> pa.Table:
-            skeys, shosts = _ray.get(ref)
+            skeys, surls, shosts = _ray.get(ref)
             if len(skeys) == 0:
                 return pa.table({
                     id_col: pa.array([], pa.int64()),
                     "loc": pa.array([], pa.string()),
                 })
-            h = hash_str_keys(t.column(url_col))
-            pos = np.searchsorted(skeys, h)
-            pos_c = np.minimum(pos, len(skeys) - 1)
-            hit = skeys[pos_c] == h
+            u = t.column(url_col).cast(pa.string())
+            pos, hit = sorted_str_lookup(skeys, surls, hash_str_keys(u), u)
             return pa.table({
-                id_col: pa.array(shosts[pos_c[hit]]),
+                id_col: pa.array(shosts[pos[hit]]),
                 "loc": t.column("loc").filter(pa.array(hit)),
             })
 
@@ -192,19 +216,9 @@ def resolve_sitemap_index(
 
     from dupers_ray.pipelines.joins import cogroup_join
 
-    def add_key(col: str):
-        def f(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "join_u64",
-                pa.array(hash_str_keys(t.column(col)).view(np.int64)),
-            )
-        return f
-
     joined = cogroup_join(
-        chd.map_batches(add_key(url_col), batch_format="pyarrow"),
-        idx.map_batches(add_key("child_url"), batch_format="pyarrow")
-           .select_columns(["join_u64", id_col]),
-        on="join_u64",
+        chd, idx.select_columns(["child_url", id_col]),
+        on=url_col, right_on="child_url",
     )
     return joined.select_columns([id_col, "loc"])
 
@@ -365,24 +379,20 @@ def recrawl_queue(
     """The crawl scheduler's work list from sitemap freshness claims:
     a listed loc is 'missing' when no capture exists, 'stale' when its
     ``<lastmod>`` postdates the last capture (ISO dates compare
-    lexicographically); fresh locs drop.  ONE int-hash cogroup join of
-    (loc, lastmod) against (url, cap_date) — both sides stream, narrow
-    rows only.  Output: (loc, reason)."""
+    lexicographically); fresh locs drop.  ONE cogroup join of (loc,
+    lastmod) against (url, cap_date) on the url string — both sides
+    stream, narrow rows only.  Output: (loc, reason)."""
     from dupers_ray.pipelines.joins import cogroup_join
-    from dupers_ray.pipelines.maintenance import hash_str_keys
 
     def left_rows(t: pa.Table) -> pa.Table:
         return pa.table({
             "loc": _as_string(t.column(loc_col)),
             "lastmod": t.column(lastmod_col),
-            "join_u64": pa.array(
-                hash_str_keys(t.column(loc_col)).view(np.int64)),
         })
 
     def right_rows(t: pa.Table) -> pa.Table:
         return pa.table({
-            "join_u64": pa.array(
-                hash_str_keys(t.column(url_col)).view(np.int64)),
+            "url": _as_string(t.column(url_col)),
             "cap_date": t.column(cap_col),
         })
 
@@ -391,7 +401,7 @@ def recrawl_queue(
             left_rows, batch_format="pyarrow", zero_copy_batch=True),
         captures.map_batches(
             right_rows, batch_format="pyarrow", zero_copy_batch=True),
-        on="join_u64", how="left",
+        on="loc", right_on="url", how="left",
     )
 
     def classify(t: pa.Table) -> pa.Table:

@@ -196,7 +196,7 @@ def video_dup_clusters(
     import pandas as pd
     import pyarrow.compute as pc
 
-    from dupers_ray.functions.hashing import splitmix64
+    from dupers_ray.functions.grouping import keyed_partition_map_groups
     from dupers_ray.pipelines.components import components
     from dupers_ray.pipelines.dupe import assign_clusters
     from dupers_ray.stages.simhash import hamming_pairs_from_sigs
@@ -232,15 +232,6 @@ def video_dup_clusters(
     ]
     allp = slot_pairs[0].union(*slot_pairs[1:])
 
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("src"), dtype=np.uint64)
-        b = np.asarray(t.column("dst"), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h = splitmix64(a * np.uint64(0x100000001B3) + b)
-        return t.append_column(
-            "__part", pa.array((h % np.uint64(num_partitions)).astype(np.int64))
-        )
-
     def vote(g: pd.DataFrame) -> pd.DataFrame:
         # per-slot pair lists are already internally deduped, so the
         # group size per (src, dst) IS the number of agreeing slots
@@ -251,12 +242,9 @@ def video_dup_clusters(
             "dst": keep["dst"].to_numpy(dtype=np.uint64),
         })
 
-    edges = (
-        allp.map_batches(pair_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(vote, batch_format="pandas")
-        .materialize()
-    )
+    edges = keyed_partition_map_groups(
+        allp, ["src", "dst"], vote, num_partitions=num_partitions
+    ).materialize()
     assign = components(edges)
 
     def to_mapping(t: pa.Table) -> pa.Table:

@@ -37,6 +37,7 @@ import pyarrow as pa
 
 logger = logging.getLogger(__name__)
 
+from dupers_ray.functions.grouping import keyed_partition_map_groups
 from dupers_ray.functions.hashing import hash_str_u64, splitmix64
 from dupers_ray.functions.pairs import segment_pairs
 from dupers_ray.stages.minhash import _POLY
@@ -138,7 +139,7 @@ def winnow_matches(
     Scale shape — text never leaves the first pass:
     1. one streaming winnowing pass -> distinct (gram, doc) rows
        (~2/(w+1) of the gram count, 16 B/row),
-    2. ONE groupby on gram % n_parts; within a gram's holder set emit all
+    2. ONE groupby on a gram-hash partition; within a gram's holder set emit all
        unordered doc pairs, hot grams capped at ``max_bucket`` holders
        (drops logged, never silent — boilerplate grams that survive
        winnowing are exactly the hot-key skew the cap bounds),
@@ -158,24 +159,13 @@ def winnow_matches(
         # each doc lives in exactly one batch, so per-batch dedup is global
         key = np.stack([gram.view(np.int64), doc], axis=1)
         key = np.unique(key, axis=0)
-        return pa.table(
-            {
-                "gram": pa.array(key[:, 0]),
-                "doc": pa.array(key[:, 1]),
-                "__part": pa.array(
-                    (key[:, 0].view(np.uint64) % np.uint64(n_parts)).astype(
-                        np.int64
-                    )
-                ),
-            }
-        )
+        return pa.table({"gram": pa.array(key[:, 0]), "doc": pa.array(key[:, 1])})
 
     def emit_pairs(g: pa.Table) -> pa.Table:
         empty = pa.table(
             {
                 "src": pa.array([], pa.int64()),
                 "dst": pa.array([], pa.int64()),
-                "__ppart": pa.array([], pa.int64()),
             }
         )
         if not g.num_rows:
@@ -195,20 +185,10 @@ def winnow_matches(
             return empty
         a = doc[ii]
         b = doc[jj]
-        src = np.minimum(a, b)
-        dst = np.maximum(a, b)
-        with np.errstate(over="ignore"):
-            mix = splitmix64(
-                src.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                + dst.view(np.uint64)
-            )
         return pa.table(
             {
-                "src": pa.array(src),
-                "dst": pa.array(dst),
-                "__ppart": pa.array(
-                    (mix % np.uint64(n_parts)).astype(np.int64)
-                ),
+                "src": pa.array(np.minimum(a, b)),
+                "dst": pa.array(np.maximum(a, b)),
             }
         )
 
@@ -235,14 +215,13 @@ def winnow_matches(
             }
         )
 
-    pairs = (
-        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(emit_pairs, batch_format="pyarrow")
+    pairs = keyed_partition_map_groups(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        "gram", emit_pairs, num_partitions=n_parts, batch_format="pyarrow",
     )
-    return (
-        pairs.groupby("__ppart")
-        .map_groups(count_pairs, batch_format="pyarrow")
+    return keyed_partition_map_groups(
+        pairs, ["src", "dst"], count_pairs,
+        num_partitions=n_parts, batch_format="pyarrow",
     )
 
 

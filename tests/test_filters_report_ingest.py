@@ -247,40 +247,3 @@ def test_global_top_k_matches_global_sort():
         .reset_index(drop=True)
     )
     assert got[["n", "token"]].values.tolist() == exp[["n", "token"]].values.tolist()
-
-
-def test_coalesce_for_group_sort_groupby_exact():
-    """Coalescing before a sort-groupby changes block layout only — the
-    grouped result is identical, and output blocks are all typed."""
-    import numpy as np
-    import pandas as pd
-    import ray
-
-    from dupers_ray.functions.grouping import coalesce_for_group_sort
-
-    tbl = pa.table({
-        "__part": pa.array((np.arange(1000) % 64).astype(np.int64)),
-        "v": pa.array(np.arange(1000, dtype=np.int64)),
-    })
-    ds = rd.from_arrow(tbl).repartition(32)
-
-    def f(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "__part": [int(g["__part"].iloc[0])],
-            "s": [int(g["v"].sum())],
-        })
-
-    out = coalesce_for_group_sort(ds, 64).groupby("__part").map_groups(
-        f, batch_format="pandas"
-    ).materialize()
-    got = out.to_pandas().sort_values("__part").reset_index(drop=True)
-    exp = (
-        tbl.to_pandas().groupby("__part", as_index=False)["v"].sum()
-        .rename(columns={"v": "s"}).sort_values("__part").reset_index(drop=True)
-    )
-    assert got.values.tolist() == exp.values.tolist()
-    for bundle in out.iter_internal_ref_bundles():
-        for ref, _ in bundle.blocks:
-            blk = ray.get(ref)
-            cols = list(blk.columns) if hasattr(blk, "columns") else blk.schema.names
-            assert list(cols) == ["__part", "s"] or len(blk) == 0

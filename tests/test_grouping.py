@@ -1,0 +1,192 @@
+"""functions/grouping.py: the one grouped-execution primitive.
+
+Every layer must give the same answer whatever the input block layout:
+one block, Ray's default split, or a shredded layout of one-row and empty
+blocks (the layout that split a join group in the round-5 recrawl_queue
+red). Expected values come from driver-side pandas / pyarrow.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+import ray
+import ray.data as rd
+
+from dupers_ray.functions.grouping import (
+    coalesced_map_groups,
+    keyed_partition_map_groups,
+)
+from dupers_ray.pipelines.joins import cogroup_join
+from dupers_ray.pipelines.maintenance import anti_join_shuffle
+
+
+def _shredded(t: pa.Table) -> list[pa.Table]:
+    """One block per row with an empty block after every second row."""
+    out = []
+    for i in range(t.num_rows):
+        out.append(t.slice(i, 1))
+        if i % 2:
+            out.append(t.slice(0, 0))
+    return out
+
+
+def _layouts(t: pa.Table) -> dict:
+    return {
+        "one_block": lambda: rd.from_arrow(t),
+        "default": lambda: rd.from_items(t.to_pylist()),
+        "shredded": lambda: rd.from_arrow(_shredded(t)),
+    }
+
+
+def _rows(ds_or_table) -> list[tuple]:
+    tables = [ds_or_table] if isinstance(ds_or_table, pa.Table) else [
+        ray.get(r) for r in ds_or_table.to_arrow_refs()
+    ]
+    return sorted(
+        tuple(r.values()) for t in tables for r in t.to_pylist()
+    )
+
+
+def test_coalesced_map_groups_exact():
+    """Coalescing before a sort-groupby changes block layout only — the
+    grouped result is identical, ``fn`` sees one key per call, and output
+    blocks are all typed."""
+    tbl = pa.table({
+        "__part": pa.array((np.arange(1000) % 64).astype(np.int64)),
+        "v": pa.array(np.arange(1000, dtype=np.int64)),
+    })
+    ds = rd.from_arrow(tbl).repartition(32)
+
+    def f(g: pd.DataFrame) -> pd.DataFrame:
+        assert g["__part"].nunique() == 1
+        return pd.DataFrame({
+            "__part": [int(g["__part"].iloc[0])],
+            "s": [int(g["v"].sum())],
+        })
+
+    out = coalesced_map_groups(ds, "__part", f, num_keys=64).materialize()
+    got = out.to_pandas().sort_values("__part").reset_index(drop=True)
+    exp = (
+        tbl.to_pandas().groupby("__part", as_index=False)["v"].sum()
+        .rename(columns={"v": "s"}).sort_values("__part").reset_index(drop=True)
+    )
+    assert got.values.tolist() == exp.values.tolist()
+    for bundle in out.iter_internal_ref_bundles():
+        for ref, _ in bundle.blocks:
+            blk = ray.get(ref)
+            cols = list(blk.columns) if hasattr(blk, "columns") else blk.schema.names
+            assert list(cols) == ["__part", "s"] or len(blk) == 0
+
+
+_N = 200
+_KEYED = pa.table({
+    "k": pa.array(np.arange(_N) % 17, pa.int64()),
+    "s": pa.array([f"key{i % 13}" for i in range(_N)], pa.string()),
+    "a": pa.array(np.arange(_N) % 5, pa.int64()),
+    "b": pa.array(np.arange(_N) % 7, pa.int64()),
+    "v": pa.array(np.arange(_N), pa.int64()),
+})
+
+
+@pytest.mark.parametrize("key", ["k", "s", ["a", "b"]])
+def test_keyed_partition_map_groups_reduces_every_key_once(key):
+    keys = [key] if isinstance(key, str) else key
+
+    def per_part(g: pd.DataFrame) -> pd.DataFrame:
+        assert "__part" not in g.columns
+        return g.groupby(keys, as_index=False)["v"].sum()
+
+    exp = _rows(pa.Table.from_pandas(
+        _KEYED.to_pandas().groupby(keys, as_index=False)["v"].sum(),
+        preserve_index=False,
+    ))
+    for name, make in _layouts(_KEYED).items():
+        got = _rows(keyed_partition_map_groups(
+            make(), key, per_part, num_partitions=8
+        ))
+        assert got == exp, name
+
+
+_LEFT = pa.table({"id": pa.array(np.arange(20), pa.int64()),
+                  "lv": pa.array(np.arange(20) * 10, pa.int64())})
+# keys 0, 3, ..., 27, each twice; half the keys miss the left side
+_RIGHT = pa.table({
+    "id": pa.array(np.repeat(np.arange(0, 30, 3), 2), pa.int64()),
+    "rv": pa.array(np.arange(20) + 100, pa.int64()),
+})
+_LEFT_LAYOUTS = {
+    "one_block": lambda: rd.range(20, override_num_blocks=1),
+    "default": lambda: rd.range(20),
+    "shredded": lambda: rd.range(20, override_num_blocks=20),
+}
+# (left layout, right layout): each layout on both sides, plus the
+# recrawl_queue shape — a default left against a shredded right
+_JOIN_LAYOUTS = [("one_block", "one_block"), ("default", "default"),
+                 ("shredded", "shredded"), ("default", "shredded")]
+
+
+def _left(make) -> "rd.Dataset":
+    return make().map_batches(
+        lambda t: pa.table({"id": t.column("id").cast(pa.int64()),
+                            "lv": pc.multiply(t.column("id").cast(pa.int64()), 10)}),
+        batch_format="pyarrow",
+    )
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_cogroup_join_layout_independent(how):
+    join_type = "inner" if how == "inner" else "left outer"
+    exp = _rows(_LEFT.join(_RIGHT, keys="id", join_type=join_type)
+                .select(["id", "lv", "rv"]))
+    for lname, rname in _JOIN_LAYOUTS:
+        got = _rows(cogroup_join(
+            _left(_LEFT_LAYOUTS[lname]), _layouts(_RIGHT)[rname](), on="id",
+            how=how, left_schema=_LEFT.schema, right_schema=_RIGHT.schema,
+        ))
+        assert got == exp, (lname, rname)
+
+
+@pytest.mark.parametrize("semi", [False, True])
+def test_anti_join_shuffle_layout_independent(semi):
+    present = pc.is_in(_LEFT.column("id"), value_set=_RIGHT.column("id"))
+    exp = _rows(_LEFT.filter(present if semi else pc.invert(present)))
+    for lname, rname in _JOIN_LAYOUTS:
+        got = _rows(anti_join_shuffle(
+            _left(_LEFT_LAYOUTS[lname]), _layouts(_RIGHT)[rname](),
+            key_col="id", semi=semi, left_schema=_LEFT.schema,
+        ))
+        assert got == exp, (lname, rname)
+
+
+def test_string_join_compares_strings_not_routing_hash():
+    """With one partition every key shares a route — the join must still
+    match on the strings themselves."""
+    left = pa.table({"url": ["a", "b", "c", "b"], "x": [1, 2, 3, 4]})
+    right = pa.table({"url": ["b", "d", "a"], "y": [10, 20, 30]})
+    got = _rows(cogroup_join(
+        rd.from_arrow(left), rd.from_arrow(right), on="url", how="left",
+        num_partitions=1,
+    ))
+    exp = _rows(left.join(right, keys="url", join_type="left outer")
+                .select(["url", "x", "y"]))
+    assert got == exp
+
+
+def test_sitemap_lookup_colliding_hashes_match_strings():
+    """Two different child urls forced onto one 64-bit hash: the
+    broadcast lookup must still resolve each url to its own host."""
+    from dupers_ray.stages.sitemap import sorted_str_lookup
+
+    skeys = np.array([7, 7, 9], np.uint64)
+    surls = pa.array(["http://a/s.xml", "http://b/s.xml", "http://c/s.xml"])
+    urls = pa.chunked_array([[
+        "http://b/s.xml", "http://a/s.xml", "http://x/s.xml", "http://c/s.xml",
+    ]])
+    h = np.array([7, 7, 7, 9], np.uint64)
+    pos, hit = sorted_str_lookup(skeys, surls, h, urls)
+    assert hit.tolist() == [True, True, False, True]
+    assert pos[hit].tolist() == [1, 0, 2]

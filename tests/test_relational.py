@@ -181,3 +181,26 @@ def test_order_priority_exists_shuffle_path(ray_session):
     b = (order_priority_exists(orders, lineitem, broadcast_limit=0)
          .to_pandas().sort_values("o_orderpriority").reset_index(drop=True))
     assert a.equals(b)
+
+
+def test_revenue_bit_exact_across_layouts(tables):
+    """Revenue is summed in integer cents and divided once, so it equals
+    the exact cents total / 100 bit for bit under any block layout."""
+    orders, customer, _ = tables
+    m = orders.merge(customer, left_on="o_custkey", right_on="c_custkey")
+    cents = np.rint(m["o_totalprice"].to_numpy() * 100).astype(np.int64)
+    exp = (
+        m.assign(c=cents).groupby("c_mktsegment")["c"].sum() / 100
+    ).sort_index()
+    for n_blocks in (1, 7, 50):
+        got = (
+            revenue_rollup(
+                rd.from_pandas(orders).repartition(n_blocks),
+                rd.from_pandas(customer),
+            )
+            .to_pandas()
+            .set_index("c_mktsegment")["revenue"]
+            .sort_index()
+        )
+        assert got.index.tolist() == exp.index.tolist()
+        assert got.tolist() == exp.tolist(), n_blocks

@@ -2,7 +2,14 @@
 
 Runs every ``queries()`` entry at a given sf_dir and compares row count,
 column names, and order-insensitive values against ``oracle_sql()`` via
-DuckDB. Usage:  python tools/check_oracle.py [sf_dir]
+DuckDB. Usage:
+
+  python tools/check_oracle.py [sf_dir] [name ...] [--sf=DIR] [--only a,b]
+
+A positional argument that is a directory is the sf_dir (default: the
+sf0.01 test data); any other positional argument is a query name, and
+names (or ``--only``) restrict the run to those entries.
+``--never-driver-checked`` lists registry entries no driver round checked.
 """
 
 from __future__ import annotations
@@ -145,4 +152,9 @@ if __name__ == "__main__":
         i = args.index("--only")
         only = set(args[i + 1].split(","))
         args = args[:i] + args[i + 2:]
+    args = [a.split("=", 1)[1] if a.startswith("--sf=") else a for a in args]
+    names = {a for a in args if not os.path.isdir(a)}
+    if names:
+        only = (only or set()) | names
+        args = [a for a in args if a not in names]
     sys.exit(main(args[0] if args else "/root/testdata/sf0.01", only))
