@@ -63,14 +63,6 @@ def windows_path_check(name: str) -> str | None:
     return None
 
 
-def _broadcast_limit() -> int:
-    """Row-count ceiling for broadcasting an anti-join key set to every
-    task; above it the CLI verbs switch to the hash-partitioned shuffle
-    path. Env-tunable so tests (and memory-constrained drivers) can force
-    the shuffle path."""
-    return int(os.environ.get("DUPERS_RAY_BROADCAST_LIMIT", 5_000_000))
-
-
 def _read(path: str):
     """Corpus/index reader: a parquet file, a directory of them, or a
     manifest-tracked partition dir (state/manifest layout)."""
@@ -152,9 +144,7 @@ def cmd_up(a) -> int:
         from dupers_ray.pipelines.maintenance import anti_join_auto
 
         old = _read(a.index)
-        fresh = anti_join_auto(
-            idx, old, key_col="url", broadcast_limit=_broadcast_limit()
-        )
+        fresh = anti_join_auto(idx, old, key_col="url")
         n = _write_index(old.union(fresh), a.index)
     else:
         n = _write_index(idx, a.index)
@@ -356,7 +346,6 @@ def cmd_clean(a) -> int:
 
     kept = anti_join_auto(
         _read(a.index), _read(a.corpus), key_col="url", semi=True,
-        broadcast_limit=_broadcast_limit(),
     )
     n = _write_index(kept, a.index)
     print(f"clean: index now {n} rows")
@@ -402,7 +391,8 @@ def cmd_rank(a) -> int:
     else:
         res = hits(edges)
     # mode='auto' returns a pa.Table in the broadcast regime and a
-    # Dataset when it degrades to the grouped path above broadcast_limit
+    # Dataset when it degrades to the grouped path above linkgraph's
+    # rank-vector limit
     out = res if isinstance(res, rd.Dataset) else rd.from_arrow(res)
     _emit(out, a.out, "rank")
     return 0

@@ -22,15 +22,17 @@ keys=...)``/hash shuffle is not used: it reserves CPUs per operator and
 deadlocks chained operators on small clusters.
 
 The layout rule: before the sort, the input is coalesced to
-``max(2, min(2·CPUs, num_keys // 8))`` blocks. Ray's sort emits one
-output partition per INPUT block; when reducers approach the distinct-key
-count the sampled range boundaries duplicate and the empty ranges
-materialize as schema-less blocks (`RefBundle with a different schema`
-warnings, a schema hazard for downstream unions). Eight keys per reducer
+``max(2, min(2·CPUs, num_keys // 8))`` blocks, but never to more blocks
+than ``num_keys``. Ray's sort emits one output partition per INPUT
+block; when reducers approach the distinct-key count the sampled range
+boundaries duplicate and the empty ranges materialize as schema-less
+blocks (`RefBundle with a different schema` warnings, a schema hazard
+for downstream unions and block concatenation). Eight keys per reducer
 (boundaries are ~10-sample quantiles per reducer) was observed
-collision-free across full bench runs, and the cap keeps >= 2 blocks/CPU
-at the usual 256-way fan-outs. Coalescing also bounds the sort's
-per-block scheduling cost, which does not depend on data size.
+collision-free across full bench runs; a single key gets a single
+reducer, since a second one would always be empty; the cap keeps >= 2
+blocks/CPU at the usual 256-way fan-outs. Coalescing also bounds the
+sort's per-block scheduling cost, which does not depend on data size.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
 
 from dupers_ray.functions.hashing import hash_str_keys, splitmix64
@@ -55,7 +58,7 @@ def _num_blocks(num_keys: int) -> int:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 — no Ray session to ask
         ncpu = 8
-    return max(2, min(2 * ncpu, num_keys // 8))
+    return min(max(num_keys, 1), max(2, min(2 * ncpu, num_keys // 8)))
 
 
 def coalesced_map_groups(
@@ -142,12 +145,24 @@ def keyed_partition_map_groups(
 
 def arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
     """Dataset schema as a pyarrow.Schema (may execute a lazy sub-DAG —
-    prefer passing schemas explicitly on hot paths). Pandas-block
-    datasets report numpy dtypes / Python classes instead of Arrow types;
-    map those through pandas (one empty Series per column)."""
-    import pandas as pd
+    prefer passing schemas explicitly on hot paths).
 
+    Read from the first non-empty block, not ``Dataset.schema()``: Ray
+    reports a ``select_columns`` projection's INPUT schema when its first
+    output bundle is an empty block passed through unprojected. Only an
+    all-empty Dataset falls back to ``schema()``, whose pandas-block
+    numpy dtypes / Python classes map through pandas (one empty Series
+    per column)."""
+    import pandas as pd
+    from ray.data.block import BlockAccessor
+
+    rows = [ref for bundle in ds.limit(1).iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+    if rows:
+        return BlockAccessor.for_block(ray.get(rows[0])).to_arrow().schema
     s = ds.schema()
+    if s is None:
+        return pa.schema([])
     fields = []
     for name, typ in zip(s.names, s.types):
         if not isinstance(typ, pa.DataType):

@@ -251,12 +251,12 @@ def source_dup_stats(
     for down-weighting scraper/mirror feeds before training (the
     host-level view of the reference's Status counters).  Scale shape:
     flagship clusters → tiny cluster-size table → dup-cluster key set
-    through the count-gated broadcast-or-shuffle semi-join
-    (maintenance.anti_join_auto) to flag dup docs, then BOTH count
-    passes are per-batch combiners over (source, count) rows merged in
-    ONE small groupby — the corpus never shuffles by source.  dup_ppm
-    is integer (n_dup*1e6 // n_docs) so the SQL oracle matches
-    exactly."""
+    through the semi-join ``maintenance.anti_join_auto`` (broadcast or
+    cogroup by the one row limit of pipelines/joins.py) to flag dup
+    docs, then BOTH count passes are per-batch combiners over (source,
+    count) rows merged in ONE small groupby — the corpus never shuffles
+    by source.  dup_ppm is integer (n_dup*1e6 // n_docs) so the SQL
+    oracle matches exactly."""
     from ray.data.aggregate import Sum
 
     from dupers_ray.pipelines.dupe import dupe_clusters

@@ -107,7 +107,7 @@ def decontaminate(
         return docs.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
 
     if strategy == "join":
-        from dupers_ray.pipelines.joins import hash_join
+        from dupers_ray.pipelines.joins import cogroup_join
 
         def corpus_shingles(t: pa.Table) -> pa.Table:
             ids = np.asarray(t.column(id_col), dtype=np.int64)
@@ -132,7 +132,7 @@ def decontaminate(
                               zero_copy_batch=True)
         bs = blocklist.map_batches(block_shingles, batch_format="pyarrow",
                                    zero_copy_batch=True)
-        hits = hash_join(
+        hits = cogroup_join(
             cs, bs, on="sh", num_partitions=num_partitions,
             left_schema=pa.schema([("sh", pa.int64()), (id_col, pa.int64())]),
             right_schema=pa.schema([("sh", pa.int64())]),

@@ -17,16 +17,15 @@ reference's walk-order "first match" (docs/README.md:198-201).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-import ray
 import ray.data
 
 from dupers_ray.config import DedupConfig
 from dupers_ray.functions.hashing import node_ids
 from dupers_ray.pipelines.components import components
-from dupers_ray.pipelines.joins import hash_join
+from dupers_ray.pipelines.joins import lookup_join
 
 
 def _url_to_node(batch: pa.Table, *, id_col: str) -> pa.Table:
@@ -40,7 +39,6 @@ def dupe_clusters(
     ds: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
-    broadcast_limit: int = 5_000_000,
     mapping_ds: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """(id_col, cluster_id) for EVERY input row with non-null id.
@@ -61,7 +59,6 @@ def dupe_clusters(
     ).materialize()
     return dupe_clusters_from_sigs(
         sigs, cfg,
-        broadcast_limit=broadcast_limit,
         mapping_ds=(mapping_ds if mapping_ds is not None
                     else ds.select_columns([cfg.id_col])),
     )
@@ -88,7 +85,6 @@ def dupe_clusters_from_sigs(
     sigs: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
-    broadcast_limit: int = 5_000_000,
     mapping_ds: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """Flagship tail over a PRECOMPUTED fused signature table (the output
@@ -120,9 +116,7 @@ def dupe_clusters_from_sigs(
             _url_to_node, fn_kwargs={"id_col": id_col},
             batch_format="pyarrow", zero_copy_batch=True,
         )
-    return assign_clusters(
-        mapping, assign, id_col=id_col, broadcast_limit=broadcast_limit
-    )
+    return assign_clusters(mapping, assign, id_col=id_col)
 
 
 def dupe_clusters_incremental(
@@ -130,8 +124,6 @@ def dupe_clusters_incremental(
     stored_sigs: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
-    broadcast_limit: int = 5_000_000,
-    known_broadcast_limit: int = 5_000_000,
     mapping_ds: "ray.data.Dataset | None" = None,
 ):
     """Incremental flagship — the near-dup analogue of dupers' walkCompare
@@ -147,52 +139,22 @@ def dupe_clusters_incremental(
 
     ``stored_sigs``: dataset with the fused signature schema
     (id, node, sig, n_shingles, digest, digest_u64, digest_u64b).
-    The anti-join broadcasts stored ids when the store is small
-    (< known_broadcast_limit rows), else hash-partitions — both paths
-    identical semantics (pipelines/maintenance.py).
+    The known-id filter is ``maintenance.anti_join_auto``: the stored ids
+    broadcast while the store is small (pipelines/joins.BROADCAST_ROWS),
+    else one hash-partitioned anti-join — identical semantics. Broadcast
+    or not, it runs as stateless tasks in front of the text scan, so it
+    never caps the scan's parallelism.
 
     Returns ``(clusters, sigs)``: the assignment for every mapped row AND
     the updated signature table (callers persist it as the new index)."""
-    from dupers_ray.pipelines.maintenance import anti_join_shuffle
+    from dupers_ray.pipelines.maintenance import anti_join_auto
     from dupers_ray.pipelines.near_dedup import minhash_signatures
 
     cfg = cfg or DedupConfig()
     id_col, text_col = cfg.id_col, cfg.text_col
 
     stored_sigs = stored_sigs.materialize()
-    n_known = stored_sigs.count()
-    if n_known <= known_broadcast_limit:
-        # broadcast the known-id set once (ray.put) and filter with
-        # stateless TASKS: this stage sits in front of the full corpus
-        # text scan, so an actor-pool filter (bounded concurrency) would
-        # cap the scan's parallelism — tasks stay fully elastic
-        known_parts = [
-            b.column(id_col).combine_chunks()
-            for b in stored_sigs.select_columns([id_col]).iter_batches(
-                batch_format="pyarrow"
-            )
-        ]
-        known_arr = (
-            pa.concat_arrays(known_parts)
-            if known_parts
-            else pa.array([], pa.string())
-        )
-        kref = ray.put(known_arr)
-
-        def drop_known(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            keys = ray.get(kref)  # zero-copy plasma read per task
-            mask = pc.invert(pc.is_in(batch.column(id_col), value_set=keys))
-            return batch.filter(mask)
-
-        fresh = ds.map_batches(
-            drop_known, batch_format="pyarrow", zero_copy_batch=True
-        )
-    else:
-        fresh = anti_join_shuffle(
-            ds, stored_sigs.select_columns([id_col]), key_col=id_col
-        )
+    fresh = anti_join_auto(ds, stored_sigs, key_col=id_col)
 
     fresh_sigs = minhash_signatures(
         fresh, shingle=cfg.shingle, minhash=cfg.minhash,
@@ -206,11 +168,7 @@ def dupe_clusters_incremental(
     # have no signature row but remain singletons), same as dupe_clusters
     if mapping_ds is None:
         mapping_ds = ds.select_columns([id_col])
-    clusters = dupe_clusters_from_sigs(
-        sigs, cfg,
-        broadcast_limit=broadcast_limit,
-        mapping_ds=mapping_ds,
-    )
+    clusters = dupe_clusters_from_sigs(sigs, cfg, mapping_ds=mapping_ds)
     return clusters, sigs
 
 
@@ -219,72 +177,22 @@ def assign_clusters(
     assign,
     *,
     id_col: str = "url",
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
-    """Join (id, node) mapping with the (node, cluster_id) assignment;
-    singletons (no assignment row) keep their own node id. Small
-    assignments broadcast via ray.put + searchsorted lookup (no shuffle);
-    large ones take a left-outer hash join."""
-    if isinstance(assign, pa.Table):
-        assign_ds = ray.data.from_arrow(assign)
-        n_assigned = assign.num_rows
-    else:
-        assign_ds = assign.materialize()
-        n_assigned = assign_ds.count()
-
-    if n_assigned <= broadcast_limit:
-        # assignment is small (only nodes that belong to some dup cluster):
-        # broadcast once via ray.put, look up per batch — no shuffle
-        if isinstance(assign, pa.Table):
-            at = assign
-        else:
-            refs = assign_ds.to_arrow_refs()
-            at = (
-                pa.concat_tables([ray.get(r) for r in refs])
-                if refs
-                else pa.table({"node": pa.array([], pa.uint64()),
-                               "cluster_id": pa.array([], pa.uint64())})
-            )
-        keys = np.asarray(at.column("node"), dtype=np.uint64)
-        vals = np.asarray(at.column("cluster_id"), dtype=np.uint64)
-        order = np.argsort(keys)
-        ref = ray.put((keys[order], vals[order]))
-
-        def assign_batch(t: pa.Table) -> pa.Table:
-            keys_, vals_ = ray.get(ref)  # zero-copy plasma read per task
-            nodes = np.asarray(t.column("node"), dtype=np.uint64)
-            if len(keys_):
-                pos = np.clip(np.searchsorted(keys_, nodes), 0, len(keys_) - 1)
-                hit = keys_[pos] == nodes
-                cid = np.where(hit, vals_[pos], nodes)
-            else:
-                cid = nodes
-            return pa.table(
-                {
-                    id_col: t.column(id_col),
-                    "cluster_id": pa.array(cid.astype(np.uint64)),
-                }
-            )
-
-        return mapping.map_batches(
-            assign_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    # large assignment: left-outer hash join, fill singletons with own node
-    joined = hash_join(
-        mapping, assign_ds, on="node", right_on="node",
-        join_type="left_outer", num_partitions=64,
-    )
+    """Join the (id, node) mapping with the (node, cluster_id) assignment
+    (a Dataset or a driver ``pa.Table``) — a left-outer
+    :func:`~dupers_ray.pipelines.joins.lookup_join`, broadcast while the
+    assignment is small (only nodes in some dup cluster have a row);
+    singletons (no assignment row) keep their own node id."""
 
     def fill(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         node = t.column("node").cast(pa.uint64())
         cid = t.column("cluster_id").cast(pa.uint64())
-        filled = pc.if_else(pc.is_null(cid), node, cid)
-        return pa.table({id_col: t.column(id_col), "cluster_id": filled})
+        return pa.table({id_col: t.column(id_col),
+                         "cluster_id": pc.coalesce(cid, node)})
 
-    return joined.map_batches(fill, batch_format="pyarrow")
+    joined = lookup_join(mapping, assign, on="node", how="left")
+    return joined.map_batches(fill, batch_format="pyarrow",
+                              zero_copy_batch=True)
 
 
 def dupe_clusters_checkpointed(

@@ -117,10 +117,10 @@ def update_token_index(
     posting files are untouched (append-only parquet under each
     ``part=`` dir, unique filenames). Returns the number of new docs.
 
-    Scale shape: the known-id filter is the count-gated
-    broadcast-or-shuffle anti-join every other incremental path here
-    uses (maintenance.anti_join_auto) — no driver take_all of indexed
-    ids; stats update reads only the DELTA postings."""
+    Scale shape: the known-id filter is ``maintenance.anti_join_auto``,
+    the anti-join every other incremental path here uses (broadcast or
+    cogroup by the one row limit of pipelines/joins.py) — no driver
+    take_all of indexed ids; stats update reads only the DELTA postings."""
     import json
 
     from dupers_ray.pipelines.maintenance import anti_join_auto

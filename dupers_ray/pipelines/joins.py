@@ -1,50 +1,42 @@
-"""Hash-join helpers.
+"""Joins — the cogroup join and the ONE broadcast-or-cogroup switch.
 
-Every join is an explicit co-group join (functions/grouping.cogroup: tag
-both sides, union, group by key hash) with an Arrow join per partition —
-one all-to-all shuffle.
+Every shuffled join is an explicit co-group join
+(functions/grouping.cogroup: tag both sides, union, group by key hash)
+with an Arrow join per partition — one all-to-all shuffle.
+
+A join whose right side is usually small — "is this key already stored?"
+(membership: anti / semi / flag, ``maintenance.anti_join_auto`` and
+``maintenance.membership_flags``) or "what is this key's value?"
+(:func:`lookup_join`) — goes through :func:`small_side`, the only place
+that compares a row count with :data:`BROADCAST_ROWS`. At most that many
+rows: the right side is pulled to the driver once, ``ray.put`` once and
+probed per batch by stateless tasks (a zero-copy plasma read per task, no
+shuffle — fixed per-exchange costs dominate small repartitions). Above
+it: one cogroup shuffle, because a driver pull of billions of keys is an
+OOM. Both routes return the same rows up to row order.
+
+Out of scope, because none of them joins a small KEY side: the pair
+verifiers (near_dedup, containment, embed) broadcast whole signature or
+embedding matrices, linkgraph broadcasts rank vectors, lmscore/lmstats
+derive their lookup keys inside the batch function, and components picks
+driver or distributed union-find by edge count.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+import ray
 import ray.data
 
-from dupers_ray.functions.grouping import cogroup
+from dupers_ray.functions.grouping import arrow_schema, cogroup
+from dupers_ray.functions.hashing import hash_str_keys
 
-
-def hash_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    *,
-    on: str,
-    right_on: str | None = None,
-    num_partitions: int = 32,
-    join_type: str = "inner",
-    left_schema: "pa.Schema | None" = None,
-    right_schema: "pa.Schema | None" = None,
-    dedup_left: bool = False,
-) -> "ray.data.Dataset":
-    """Cogroup join, not the native ``Dataset.join``: the native
-    JoinOperator in this Ray release RESERVES num-CPUs-worth of resources
-    per join operator, so a DAG with two chained joins deadlocks on small
-    clusters (observed: two joins each 'requiring 4 CPUs' on a 4-CPU local
-    cluster → starved executor). The cogroup path shares the normal task
-    pool and streams.
-
-    Pass ``left_schema``/``right_schema`` when known: calling .schema() on a
-    lazy Dataset EXECUTES its sub-DAG to infer types, which serializes the
-    pipeline and double-runs shuffles."""
-    right_on = right_on or on
-    if join_type not in ("inner", "left_outer"):
-        raise ValueError(f"cogroup join supports inner/left_outer, got {join_type}")
-    return cogroup_join(
-        left, right, on=on, right_on=right_on, num_partitions=num_partitions,
-        how="inner" if join_type == "inner" else "left",
-        left_schema=left_schema, right_schema=right_schema,
-        dedup_left=dedup_left,
-    )
+# Row limit of the broadcast route. Read at call time (never bound as a
+# default argument), so one assignment changes every switch.
+BROADCAST_ROWS = 5_000_000
 
 
 def cogroup_join(
@@ -63,11 +55,23 @@ def cogroup_join(
     + a per-partition Arrow join. Keys may be integer or string: the key
     hash only routes rows, the Arrow join compares the real keys.
 
+    Not the native ``Dataset.join``: its JoinOperator in this Ray release
+    RESERVES num-CPUs-worth of resources per join operator, so a DAG with
+    two chained joins deadlocks on small clusters (observed: two joins
+    each 'requiring 4 CPUs' on a 4-CPU local cluster → starved executor).
+    The cogroup path shares the normal task pool and streams.
+
+    Pass ``left_schema``/``right_schema`` when known: calling .schema() on
+    a lazy Dataset EXECUTES its sub-DAG to infer types, which serializes
+    the pipeline and double-runs shuffles.
+
     ``dedup_left=True`` drops duplicate left rows (full-row dedup) inside
     each join partition BEFORE joining. Because left rows co-locate by the
     join key, this is a complete global dedup for row-sets whose duplicates
     share the key — e.g. cross-band duplicate candidate pairs (same src) —
     without a dedicated dedup shuffle."""
+    if how not in ("inner", "left"):
+        raise ValueError(f"cogroup join supports inner/left, got {how!r}")
     right_on = right_on or on
     join_type = "inner" if how == "inner" else "left outer"
 
@@ -87,3 +91,129 @@ def cogroup_join(
         num_partitions=num_partitions,
         left_schema=left_schema, right_schema=right_schema,
     )
+
+
+def small_side(
+    right: "ray.data.Dataset | pa.Table", columns: "list[str] | None" = None,
+) -> "tuple[pa.Table | None, ray.data.Dataset | None]":
+    """The switch: materialize ``right``'s ``columns`` (all when None)
+    once, count them and pick a route. Returns ``(table, None)`` for the
+    broadcast route — the rows as one driver table — or ``(None, ds)``
+    for the cogroup route, ``ds`` the materialized columns. A driver
+    ``pa.Table`` is broadcast as is (no Dataset round trip) when small."""
+    if isinstance(right, pa.Table):
+        t = right.select(columns) if columns else right
+        if t.num_rows <= BROADCAST_ROWS:
+            return t, None
+        return None, ray.data.from_arrow(t)
+    ds = (right.select_columns(columns) if columns else right).materialize()
+    if ds.count() > BROADCAST_ROWS:
+        return None, ds
+    # empty blocks may come back schema-less (as empty pandas frames)
+    blocks = [b for b in ray.get(ds.to_arrow_refs())
+              if isinstance(b, pa.Table) and b.num_columns]
+    if blocks:
+        return pa.concat_tables(blocks, promote_options="permissive"), None
+    # an all-empty Dataset can lose its schema: no key, nothing matches
+    names = columns or (ds.schema().names if ds.schema() else [])
+    return pa.table({c: pa.nulls(0) for c in names}), None
+
+
+def _is_str(t: pa.DataType) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
+
+
+def _equal_hash_pairs(skeys: np.ndarray, h: np.ndarray):
+    """``(rows, pos)``: every pair with ``skeys[pos] == h[rows]`` for a
+    sorted ``skeys``, rows ascending."""
+    lo = np.searchsorted(skeys, h, side="left")
+    cnt = np.searchsorted(skeys, h, side="right") - lo
+    rows = np.repeat(np.arange(len(h)), cnt)
+    start = np.cumsum(cnt) - cnt
+    pos = np.repeat(lo - start, cnt) + np.arange(int(cnt.sum()))
+    return rows, pos
+
+
+def sorted_str_lookup(skeys: np.ndarray, surls, h: np.ndarray, urls):
+    """``(rows, pos)`` of every pair of a string of ``urls`` (hashes
+    ``h``) and an entry of a table sorted by hash ``skeys`` whose strings
+    are ``surls``. A match needs an equal hash AND an equal string, so two
+    strings sharing a 64-bit hash never match."""
+    rows, pos = _equal_hash_pairs(skeys, h)
+    eq = pc.fill_null(pc.equal(
+        surls.take(pa.array(pos)), urls.take(pa.array(rows))
+    ), False).to_numpy(zero_copy_only=False)
+    return rows[eq], pos[eq]
+
+
+def lookup_join(
+    left: "ray.data.Dataset",
+    right: "ray.data.Dataset | pa.Table",
+    *,
+    on: str,
+    right_on: str | None = None,
+    how: str = "inner",
+) -> "ray.data.Dataset":
+    """Key → value join of ``left`` against a (usually small) ``right``:
+    left's columns plus right's non-key columns, ``how`` inner or left
+    (outer: misses get null values). Every matching right row joins, so
+    duplicate right keys repeat the left row, as in a SQL join.
+
+    Broadcast route: the right rows sorted once by key (string keys by
+    their 64-bit hash, matched on the string itself), ``ray.put`` once,
+    ``searchsorted`` per batch; the left key is cast to the right key's
+    type. Cogroup route: :func:`cogroup_join` (right key cast to the left
+    key's type). Null keys never match."""
+    if how not in ("inner", "left"):
+        raise ValueError(f"lookup join supports inner/left, got {how!r}")
+    right_on = right_on or on
+    small, big = small_side(right)
+    if small is None:
+        return cogroup_join(left, big, on=on, right_on=right_on, how=how,
+                            right_schema=arrow_schema(big))
+    if right_on not in small.column_names:  # schema-less empty right side
+        small = small.append_column(right_on, pa.nulls(0))
+    key = small.column(right_on)
+    if key.null_count:
+        small = small.filter(pc.is_valid(key))
+        key = small.column(right_on)
+    strings = _is_str(key.type)
+    kh = hash_str_keys(key) if strings else \
+        key.to_numpy(zero_copy_only=False)
+    order = np.argsort(kh, kind="stable")
+    table = small.take(pa.array(order))
+    ref = ray.put((kh[order], table))
+
+    def probe(t: pa.Table) -> pa.Table:
+        skeys, st = ray.get(ref)  # zero-copy plasma read per task
+        rows = pos = np.empty(0, np.int64)
+        if len(skeys):
+            lk = t.column(on).cast(st.schema.field(right_on).type)
+            if strings:
+                rows, pos = sorted_str_lookup(
+                    skeys, st.column(right_on), hash_str_keys(lk), lk
+                )
+            else:
+                rows, pos = _equal_hash_pairs(
+                    skeys, pc.fill_null(lk, 0).to_numpy(zero_copy_only=False)
+                )
+                if lk.null_count:
+                    valid = pc.is_valid(lk).to_numpy(zero_copy_only=False)
+                    rows, pos = rows[valid[rows]], pos[valid[rows]]
+        if how == "left":
+            miss = np.flatnonzero(np.bincount(rows, minlength=t.num_rows) == 0)
+            rows = np.concatenate([rows, miss])
+            pos = np.concatenate([pos, np.full(len(miss), -1)])
+            order_ = np.argsort(rows, kind="stable")
+            rows, pos = rows[order_], pos[order_]
+        out = t.take(pa.array(rows))
+        idx = pa.array(pos, mask=pos < 0)
+        for c in st.column_names:
+            if c != right_on:
+                out = out.append_column(st.schema.field(c),
+                                        st.column(c).take(idx))
+        return out
+
+    return left.map_batches(probe, batch_format="pyarrow",
+                            zero_copy_batch=True)

@@ -9,11 +9,12 @@ Reference citations:
   exists → ANTI-join index vs live corpus
 - mv/rm: pkg/database/database.go:693-716 (Rename), :719-729 (Remove)
 
-Anti-joins are implemented with a broadcast key set when the index side's
-keys fit comfortably in an object-store blob (``ray.put`` once, read per
-actor), because dedup-maintenance key sets (urls) are tiny next to page
-payloads. For key sets too large to broadcast, ``anti_join_shuffle`` does a
-hash-partitioned co-group — both paths share semantics and tests.
+Anti / semi joins and membership flags take the one broadcast-or-cogroup
+switch of pipelines/joins.py (``small_side``): a broadcast key set
+(``ray.put`` once, read per task) when the index side has at most
+``joins.BROADCAST_ROWS`` rows, because dedup-maintenance key sets (urls)
+are tiny next to page payloads; above it ``anti_join_shuffle``, one
+hash-partitioned co-group — both routes share semantics and tests.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import ray.data
 from ray.data.aggregate import Count, Sum
 
 from dupers_ray.functions.grouping import arrow_schema, cogroup
+from dupers_ray.pipelines.joins import small_side
 
 
 def counts_by_bucket(ds: "ray.data.Dataset", *, bucket_col: str = "bucket",
@@ -66,25 +68,53 @@ def anti_join_broadcast(
     invert: bool = False,
 ) -> "ray.data.Dataset":
     """Rows of ``ds`` whose ``key_col`` is NOT in ``keys`` (anti); with
-    invert=True, rows that ARE (semi). ``keys`` is a python/np/arrow array
-    small enough to broadcast — shipped to the object store ONCE via
-    ray.put, not re-pickled per batch.
+    invert=True, rows that ARE (semi). ``keys`` is an Arrow or numpy
+    array (or list) small enough to broadcast — shipped to the object
+    store ONCE via ray.put, not re-pickled per batch."""
+    return _broadcast_membership(ds, keys, key_col=key_col, semi=invert)
 
-    Stateless TASKS, not an actor pool: ``ray.get(ref)`` is a zero-copy
-    plasma read per task, so there is no per-actor state worth pooling —
-    and a pool would cap this filter's parallelism below the stages it
-    feeds (the same reasoning as the incremental flagship's known-id
-    filter, dupe.py)."""
-    arr = pa.array(pd.unique(np.asarray(keys)))
-    ref = ray.put(arr)
 
-    def filt(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch.column(key_col), value_set=ray.get(ref))
-        if not invert:
-            mask = pc.invert(mask)
-        return batch.filter(mask)
+def _broadcast_membership(ds, keys, *, key_col: str, semi: bool = False,
+                          flag_col: str | None = None):
+    """The broadcast half of every membership join: the distinct key set
+    ``ray.put`` once, ``is_in`` per batch. Stateless TASKS, not an actor
+    pool: ``ray.get(ref)`` is a zero-copy plasma read per task, so there
+    is no per-actor state worth pooling — and a pool would cap this
+    filter's parallelism below the stages it feeds (the incremental
+    flagships put it in front of their text scan)."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    elif not isinstance(keys, pa.Array):
+        keys = pa.array(np.asarray(keys))
+    ref = ray.put(pc.unique(keys))
 
-    return ds.map_batches(filt, batch_format="pyarrow", zero_copy_batch=True)
+    def member(batch: pa.Table) -> pa.Table:
+        value_set = ray.get(ref)  # zero-copy plasma read per task
+        if len(value_set):
+            present = pc.is_in(batch.column(key_col), value_set=value_set)
+        else:  # a typeless empty key set matches nothing
+            present = pa.array(np.zeros(batch.num_rows, bool))
+        if flag_col is not None:
+            if isinstance(present, pa.ChunkedArray):
+                present = present.combine_chunks()
+            return batch.append_column(flag_col, present)
+        return batch.filter(present if semi else pc.invert(present))
+
+    return ds.map_batches(member, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _membership(left, right, *, key_col: str, right_key_col: str | None,
+                semi: bool = False, flag_col: str | None = None):
+    """Anti / semi / flag membership of ``left[key_col]`` in
+    ``right[right_key_col]`` through the one switch
+    (pipelines/joins.small_side): broadcast key set or cogroup."""
+    rkey = right_key_col or key_col
+    small, big = small_side(right, [rkey])
+    if small is None:
+        return anti_join_shuffle(left, big, key_col=key_col, right_key_col=rkey,
+                                 semi=semi, flag_col=flag_col)
+    return _broadcast_membership(left, small.column(rkey), key_col=key_col,
+                                 semi=semi, flag_col=flag_col)
 
 
 def anti_join_auto(
@@ -94,32 +124,14 @@ def anti_join_auto(
     key_col: str,
     right_key_col: str | None = None,
     semi: bool = False,
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
-    """Count-gated anti/semi join: broadcast the right key set when it is
-    small (``ray.put`` once, zero-copy plasma read per task), else one
-    hash-partitioned shuffle. The same switch the tiers cascade uses
-    (tiers.py survivor filter) and the incremental flagship's known-id
-    filter (dupe.py) — at 100 TB the right side can be billions of urls,
-    so an unconditional driver ``take_all`` is an OOM, while an
-    unconditional shuffle punishes the common small-index case."""
-    rkey = right_key_col or key_col
-    keys_ds = right.select_columns([rkey]).materialize()
-    n = keys_ds.count()
-    if n == 0:
-        if semi:
-            return left.map_batches(
-                lambda t: t.slice(0, 0), batch_format="pyarrow"
-            )
-        return left
-    if n <= broadcast_limit:
-        # to_pandas (block concat), NOT take_all: row-dict iteration is
-        # ~1000x slower than a column pull
-        keys = keys_ds.to_pandas()[rkey].to_numpy()
-        return anti_join_broadcast(left, keys, key_col=key_col, invert=semi)
-    return anti_join_shuffle(
-        left, keys_ds, key_col=key_col, right_key_col=rkey, semi=semi
-    )
+    """Anti (or, with ``semi``, semi) join on the right side's key set:
+    broadcast when it is small, one hash-partitioned shuffle otherwise —
+    the count-gated switch of pipelines/joins.py. At 100 TB the right side
+    can be billions of urls, so an unconditional driver pull is an OOM,
+    while an unconditional shuffle punishes the common small-index case."""
+    return _membership(left, right, key_col=key_col,
+                       right_key_col=right_key_col, semi=semi)
 
 
 def membership_flags(
@@ -129,43 +141,16 @@ def membership_flags(
     key_col: str,
     right_key_col: str | None = None,
     flag_col: str = "in_index",
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """dupers ``-fast`` mode: answer "is this content already stored?"
     from the checksum index alone, WITHOUT filtering — every left row
     comes back with a boolean ``flag_col`` (reference: lookupOne checks
     the Compare map preloaded from the DB, pkg/dupe/dupe.go:919-931; the
     -fast status line counts those lookups instead of walked files,
-    dupe.go:376-385). Count-gated like :func:`anti_join_auto`: broadcast
-    the index key set when small (``ray.put`` once, zero-copy plasma
-    read per task), else ONE hash-partitioned cogroup — at 100 TB the
-    index is billions of digests and a driver pull would OOM."""
-    rkey = right_key_col or key_col
-    keys_ds = right.select_columns([rkey]).materialize()
-    n = keys_ds.count()
-    if n == 0:
-        return left.map_batches(
-            lambda t: t.append_column(
-                flag_col, pa.array(np.zeros(len(t), bool))
-            ),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-    if n <= broadcast_limit:
-        keys = keys_ds.to_pandas()[rkey].to_numpy()
-        arr = pa.array(pd.unique(np.asarray(keys)))
-        ref = ray.put(arr)
-
-        def flag(batch: pa.Table) -> pa.Table:
-            m = pc.is_in(batch.column(key_col), value_set=ray.get(ref))
-            return batch.append_column(flag_col, m.combine_chunks())
-
-        return left.map_batches(
-            flag, batch_format="pyarrow", zero_copy_batch=True
-        )
-    return anti_join_shuffle(
-        left, keys_ds, key_col=key_col, right_key_col=rkey,
-        flag_col=flag_col,
-    )
+    dupe.go:376-385). Same switch as :func:`anti_join_auto`: at 100 TB
+    the index is billions of digests and a driver pull would OOM."""
+    return _membership(left, right, key_col=key_col,
+                       right_key_col=right_key_col, flag_col=flag_col)
 
 
 def anti_join_shuffle(

@@ -31,7 +31,7 @@ import ray.data
 
 from dupers_ray.config import MinHashConfig, ShingleConfig
 from dupers_ray.functions.grouping import keyed_partition_map_groups
-from dupers_ray.pipelines.joins import hash_join
+from dupers_ray.pipelines.joins import cogroup_join
 from dupers_ray.stages.bucket_index import candidate_pairs_index
 from dupers_ray.stages.minhash import MinHasher, explode_bands
 
@@ -211,7 +211,7 @@ def verify_pairs(
     # dedup_left: star pairs repeat across bands with the same src (bucket
     # anchor), so per-partition full-row dedup inside the src-keyed join is
     # a complete cross-band dedup — no dedicated dedup shuffle needed
-    j1 = hash_join(pairs, sigs, on="src", right_on="node",
+    j1 = cogroup_join(pairs, sigs, on="src", right_on="node",
                    num_partitions=num_partitions,
                    left_schema=pairs_schema, right_schema=sig_schema,
                    dedup_left=True)
@@ -224,7 +224,7 @@ def verify_pairs(
     j1_schema = pa.schema(
         [("src", pa.uint64()), ("dst", pa.uint64()), ("sig_src", pa.binary())]
     )
-    j2 = hash_join(j1, sigs, on="dst", right_on="node",
+    j2 = cogroup_join(j1, sigs, on="dst", right_on="node",
                    num_partitions=num_partitions,
                    left_schema=j1_schema, right_schema=sig_schema)
 

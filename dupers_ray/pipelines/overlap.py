@@ -138,7 +138,7 @@ def near_source_overlap(
 
     from dupers_ray.config import DedupConfig
     from dupers_ray.pipelines.dupe import dupe_clusters
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
 
     cfg = cfg or DedupConfig()
     if cfg.id_col != id_col:
@@ -146,7 +146,7 @@ def near_source_overlap(
     clusters = dupe_clusters(
         ds.select_columns([id_col, content_col]), cfg
     )
-    labeled = hash_join(
+    labeled = cogroup_join(
         clusters, ds.select_columns([id_col, group_col]), on=id_col,
         left_schema=pa.schema([(id_col, pa.int64()),
                                ("cluster_id", pa.uint64())]),

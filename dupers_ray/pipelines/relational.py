@@ -14,8 +14,9 @@ everywhere:
   on the key both sides share; the final rollup groups a handful of
   segment/nation rows, pre-combined per batch;
 - **broadcast the tiny side**: dimensions of bounded cardinality
-  (nation: 25 rows) never shuffle — they are ``ray.put`` once and mapped
-  through a vectorized take inside every batch.
+  (nation: 25 rows) never shuffle — ``joins.lookup_join`` puts them in
+  the object store once and probes them inside every batch (the one
+  broadcast-or-cogroup switch, pipelines/joins.py).
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
-from dupers_ray.pipelines.joins import cogroup_join
+from dupers_ray.pipelines.joins import cogroup_join, lookup_join
 
 
 def _cents_partials(t: pa.Table) -> pa.Table:
@@ -45,49 +45,14 @@ def _cents_partials(t: pa.Table) -> pa.Table:
     return g.rename_columns(["o_custkey", "n_part", "rev_part"])
 
 
-def broadcast_lookup(
-    small: "ray.data.Dataset",
-    *,
-    key_col: str,
-    value_col: str,
-    max_rows: int = 5_000_000,
-) -> "ray.object_ref.ObjectRef":
-    """Collect a small dimension to a (sorted keys, values) pair and
-    ``ray.put`` it once. Raises if the side is not actually small."""
-    rows = small.select_columns([key_col, value_col]).take_all()
-    if len(rows) > max_rows:
-        raise ValueError(
-            f"broadcast side has {len(rows)} rows > max_rows={max_rows}; "
-            "use a cogroup join instead"
-        )
-    keys = np.array([r[key_col] for r in rows], dtype=np.int64)
-    vals = np.array([r[value_col] for r in rows])
-    order = np.argsort(keys, kind="stable")
-    return ray.put((keys[order], vals[order]))
-
-
-def apply_lookup(
-    ds: "ray.data.Dataset",
-    ref: "ray.object_ref.ObjectRef",
-    *,
-    key_col: str,
-    out_col: str,
-) -> "ray.data.Dataset":
-    """Map a broadcast (keys, values) table over ``ds[key_col]`` with a
-    vectorized searchsorted; unknown keys raise (dimension misses are a
-    data bug, not a join semantic)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        keys, vals = ray.get(ref)  # plasma view, cached per worker process
-        k = np.asarray(t.column(key_col), dtype=np.int64)
-        idx = np.searchsorted(keys, k)
-        idx_c = idx.clip(0, len(keys) - 1)
-        if len(k) and not np.all(keys[idx_c] == k):
-            missing = k[keys[idx_c] != k][:5]
-            raise KeyError(f"lookup misses for {key_col}: {missing.tolist()}")
-        return t.append_column(out_col, pa.array(vals[idx_c]))
-
-    return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
+def _require_name(t: pa.Table) -> pa.Table:
+    """Dimension misses are a data bug, not a join semantic: a customer
+    nation key with no nation row raises instead of grouping as null."""
+    miss = pc.is_null(t.column("n_name"))
+    if pc.any(miss).as_py():
+        keys = t.column("c_nationkey").filter(miss)[:5].to_pylist()
+        raise KeyError(f"lookup misses for c_nationkey: {keys}")
+    return t
 
 
 def revenue_rollup(
@@ -141,10 +106,11 @@ def revenue_rollup(
     )
 
     if nation is not None:
-        ref = broadcast_lookup(nation, key_col="n_nationkey", value_col="n_name")
-        joined = apply_lookup(
-            joined, ref, key_col="c_nationkey", out_col="n_name"
-        )
+        joined = lookup_join(
+            joined, nation.select_columns(["n_nationkey", "n_name"]),
+            on="c_nationkey", right_on="n_nationkey", how="left",
+        ).map_batches(_require_name, batch_format="pyarrow",
+                      zero_copy_batch=True)
 
     combined = joined.map_batches(
         _partial_rollup(group_col), batch_format="pyarrow", zero_copy_batch=True
@@ -233,7 +199,6 @@ def order_priority_exists(
     lineitem: "ray.data.Dataset",
     *,
     returnflag: str = "R",
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """TPC-H Q4 shape: per ``o_orderpriority``, count orders having AT
     LEAST ONE lineitem with ``l_returnflag = returnflag`` — the EXISTS
@@ -241,16 +206,11 @@ def order_priority_exists(
 
     Scale shape: the lineitem side reduces to DISTINCT matching order
     keys via a per-batch unique combiner (shuffle-free); the semi-join
-    against orders is a broadcast membership filter when the key set is
-    small (``broadcast_limit``) and the hash-partitioned semi-join
-    otherwise; the final count groups pre-aggregated partials."""
-    import pyarrow.compute as pc
-
-    from dupers_ray.pipelines.maintenance import (
-        anti_join_broadcast,
-        anti_join_shuffle,
-        counts_by_bucket,
-    )
+    against orders is ``maintenance.anti_join_auto`` — a broadcast
+    membership filter while the key set is small, the hash-partitioned
+    semi-join otherwise; the final count groups pre-aggregated
+    partials."""
+    from dupers_ray.pipelines.maintenance import anti_join_auto, counts_by_bucket
 
     def match_keys(t: pa.Table) -> pa.Table:
         m = pc.equal(t.column("l_returnflag"), returnflag)
@@ -258,24 +218,13 @@ def order_priority_exists(
         u = np.unique(k.to_numpy(zero_copy_only=False))
         return pa.table({"o_orderkey": pa.array(u, pa.int64())})
 
-    keys_ds = lineitem.select_columns(
+    keys = lineitem.select_columns(
         ["l_orderkey", "l_returnflag"]
-    ).map_batches(
-        match_keys, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # consumed for count + (broadcast | shuffle)
-
-    osel = orders.select_columns(["o_orderkey", "o_orderpriority"])
-    if keys_ds.count() <= broadcast_limit:
-        keys = np.unique(keys_ds.to_pandas()["o_orderkey"].to_numpy())
-        matched = anti_join_broadcast(
-            osel, keys, key_col="o_orderkey", invert=True
-        )
-    else:
-        matched = anti_join_shuffle(
-            osel, keys_ds, key_col="o_orderkey", semi=True,
-            left_schema=pa.schema([("o_orderkey", pa.int64()),
-                                   ("o_orderpriority", pa.string())]),
-        )
+    ).map_batches(match_keys, batch_format="pyarrow", zero_copy_batch=True)
+    matched = anti_join_auto(
+        orders.select_columns(["o_orderkey", "o_orderpriority"]), keys,
+        key_col="o_orderkey", semi=True,
+    )
     agg = counts_by_bucket(matched, bucket_col="o_orderpriority")
     return agg.map_batches(
         lambda t: t.rename_columns(["o_orderpriority", "n_orders"]),

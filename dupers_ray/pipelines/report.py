@@ -43,10 +43,10 @@ def dupe_report(
     out = exact_dupe_pairs(ds, id_col=id_col, content_col=content_col)
     if keep_cols:
         # display metadata is per match row; hash-join pairs to corpus rows
-        from dupers_ray.pipelines.joins import hash_join
+        from dupers_ray.pipelines.joins import cogroup_join
 
         meta = ds.select_columns([id_col, *keep_cols])
-        out = hash_join(
+        out = cogroup_join(
             out, meta, on=f"match_{id_col}", right_on=id_col, num_partitions=32
         )
     if formatted:

@@ -23,9 +23,10 @@ Scale shape — ONE text scan, then id-width shuffles:
 - tiers 1+2 are a CHAIN of two groupbys over 40-byte projections
   (digest-hash then norm-hash); the exact-removal flag rides along to the
   second groupby, so no intermediate anti-join exists at all.
-- the survivor filter before the near tier broadcasts the removed-id set
-  when it is small (duplicates only — ``broadcast_limit``) and falls back
-  to the hash-partitioned anti-join for massively duplicated corpora.
+- the survivor filter before the near tier is ``maintenance.anti_join_auto``
+  on the removed-id set (duplicates only): broadcast while it is small,
+  the hash-partitioned anti-join for massively duplicated corpora — the
+  one switch of pipelines/joins.py.
 - the near tier reuses ``dupe_clusters_from_sigs`` on the already-built
   signature table (no second text scan), then one cluster-id groupby of
   16-byte rows picks the min-id keeper per cluster.
@@ -42,8 +43,8 @@ from functools import partial
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-import ray
 import ray.data
 
 from dupers_ray.config import DedupConfig
@@ -69,8 +70,6 @@ def _fused_scan(batch: pa.Table, *, id_col: str, text_col: str,
     Venn shares this scan instead of re-reading the corpus (round-3
     verdict #5). Off by default: tiers-incremental persists this schema
     as its signature store."""
-    import pyarrow.compute as pc
-
     from dupers_ray.functions.hashing import node_ids, sha256_u64_pairs
     from dupers_ray.pipelines.near_dedup import _MINHASHER_CACHE
     from dupers_ray.stages.minhash import MinHasher
@@ -196,8 +195,6 @@ def fused_tier_scan(
 def dedup_tiers(
     docs: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
-    *,
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """Label every document with the first dedup tier that removes it.
     Returns ``(id_col, tier)`` rows, tier ∈ {exact, normalized, near,
@@ -205,16 +202,13 @@ def dedup_tiers(
     cfg = cfg or DedupConfig()
     # reused by the tier chain, the near tier and assignment
     fused = fused_tier_scan(docs, cfg)
-    return _tiers_from_fused(fused, cfg, broadcast_limit=broadcast_limit)
+    return _tiers_from_fused(fused, cfg)
 
 
 def dedup_tiers_incremental(
     docs: "ray.data.Dataset",
     stored_fused: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
-    *,
-    broadcast_limit: int = 5_000_000,
-    known_broadcast_limit: int = 5_000_000,
 ):
     """Incremental tier cascade — the `up`-style daily-update flow at tier
     level (same shape as ``dupe_clusters_incremental``): docs whose id is
@@ -226,61 +220,25 @@ def dedup_tiers_incremental(
 
     Returns ``(tiers, fused)`` — the label table AND the updated fused
     store (callers persist it for the next delta)."""
-    import pyarrow.compute as pc
-
-    from dupers_ray.pipelines.maintenance import anti_join_shuffle
+    from dupers_ray.pipelines.maintenance import anti_join_auto
 
     cfg = cfg or DedupConfig()
-    id_col = cfg.id_col
     stored = stored_fused.materialize()
-    if stored.count() <= known_broadcast_limit:
-        known_parts = [
-            b.column(id_col).combine_chunks()
-            for b in stored.select_columns([id_col]).iter_batches(
-                batch_format="pyarrow"
-            )
-        ]
-        known_arr = (
-            pa.concat_arrays(known_parts)
-            if known_parts else pa.array([], pa.string())
-        )
-        kref = ray.put(known_arr)
-
-        def drop_known(batch: pa.Table) -> pa.Table:
-            keys = ray.get(kref)
-            return batch.filter(
-                pc.invert(pc.is_in(batch.column(id_col), value_set=keys))
-            )
-
-        fresh = docs.map_batches(
-            drop_known, batch_format="pyarrow", zero_copy_batch=True
-        )
-    else:
-        fresh = anti_join_shuffle(
-            docs, stored.select_columns([id_col]), key_col=id_col
-        )
+    fresh = anti_join_auto(docs, stored, key_col=cfg.id_col)
     # both sides materialized ⇒ the union is a lazy zero-copy concat the
     # tier tail can consume repeatedly
     fused = stored.union(fused_tier_scan(fresh, cfg))
-    return (
-        _tiers_from_fused(fused, cfg, broadcast_limit=broadcast_limit),
-        fused,
-    )
+    return _tiers_from_fused(fused, cfg), fused
 
 
 def _tiers_from_fused(
     fused: "ray.data.Dataset",
     cfg: DedupConfig,
-    *,
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """Tier resolution over a (materialized or concat-of-materialized)
     fused table — see :func:`dedup_tiers` for the stage shapes."""
     from dupers_ray.pipelines.dupe import dupe_clusters_from_sigs
-    from dupers_ray.pipelines.maintenance import (
-        anti_join_broadcast,
-        anti_join_shuffle,
-    )
+    from dupers_ray.pipelines.maintenance import anti_join_auto
 
     id_col = cfg.id_col
     proj = fused.select_columns(
@@ -298,33 +256,21 @@ def _tiers_from_fused(
         num_partitions=_N_PARTS,
     ).materialize()  # small: id + two bools per doc
 
-    import pyarrow.compute as pc
-
     removed12 = t12.map_batches(
         lambda t: t.filter(
             pc.or_(t.column("r_exact"), t.column("r_norm"))
         ).select([id_col]),
         batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
-    n_removed = removed12.count()
-
-    if n_removed == 0:
-        survivors = fused
-    elif n_removed <= broadcast_limit:
-        # to_pandas (block concat), NOT take_all: row-dict iteration over
-        # pandas-format blocks is ~1000x slower than a column pull
-        keys = removed12.to_pandas()[id_col].to_numpy()
-        survivors = anti_join_broadcast(fused, keys, key_col=id_col)
-    else:
-        survivors = anti_join_shuffle(fused, removed12, key_col=id_col)
+    )
+    survivors = anti_join_auto(fused, removed12, key_col=id_col)
 
     # empty-text docs never dedup (they share sha256('') — the flagship's
     # drop_empty parity): exclude them from the near tier's index AND its
     # cluster mapping; base labeling already marks them kept
     # materialize once: the near machinery consumes this THREE times
     # (index ingest, verify, cluster mapping) — lazy, each pass would
-    # re-run the survivor anti-join and its actor pool. These are the
-    # same bytes the incremental flagship persists as its signature store.
+    # re-run the survivor anti-join. These are the same bytes the
+    # incremental flagship persists as its signature store.
     content = survivors.map_batches(
         lambda t: t.filter(pc.invert(t.column("txt_empty"))),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -358,56 +304,24 @@ def _tiers_from_fused(
 
     base = t12.map_batches(label12, batch_format="pyarrow",
                            zero_copy_batch=True)
-    idt = fused.schema().base_schema.field(id_col).type \
-        if hasattr(fused.schema(), "base_schema") else \
-        fused.schema().field(id_col).type
-    return _overlay_tier(base, r3, "near", id_col=id_col, idt=idt,
-                         broadcast_limit=broadcast_limit)
+    return _overlay_tier(base, r3, "near", id_col=id_col)
 
 
-def _overlay_tier(base, removed, label, *, id_col, idt, broadcast_limit):
-    """Flip ``base`` rows whose id appears in ``removed`` (columns: id,
-    tier) to tier ``label``. Removed ids are by construction labeled
-    'kept' in base, so the large-set fallback is one id-hash ANTI join
-    (drop them) + union of the removed rows; small sets broadcast."""
-    removed = removed.materialize()
-    n = removed.count()
-    if n == 0:
-        return base
-    if n <= broadcast_limit:
-        ids_sorted = np.sort(removed.to_pandas()[id_col].to_numpy())
-        ref = ray.put(ids_sorted)
+def _overlay_tier(base, removed, label, *, id_col):
+    """Relabel ``base`` rows (id, tier) whose id appears in ``removed`` to
+    tier ``label``: ``maintenance.membership_flags`` (the one
+    broadcast-or-cogroup switch), then one vectorized ``if_else``. Every
+    removed row carries the same label, so a flag is all the overlay
+    needs — no anti-join + union of the removed rows."""
+    from dupers_ray.pipelines.maintenance import membership_flags
 
-        def overlay(t: pa.Table) -> pa.Table:
-            ids = t.column(id_col).to_numpy(zero_copy_only=False)
-            nr = ray.get(ref)
-            pos = np.searchsorted(nr, ids).clip(0, len(nr) - 1)
-            hit = nr[pos] == ids
-            tier = t.column("tier").to_numpy(zero_copy_only=False).copy()
-            tier[hit] = label
-            return pa.table({
-                id_col: t.column(id_col),
-                "tier": pa.array(tier.astype(object), pa.string()),
-            })
+    def relabel(t: pa.Table) -> pa.Table:
+        return pa.table({id_col: t.column(id_col), "tier": pc.if_else(
+            t.column("__hit"), pa.scalar(label), t.column("tier"))})
 
-        return base.map_batches(overlay, batch_format="pyarrow",
-                                zero_copy_batch=True)
-
-    from dupers_ray.pipelines.maintenance import anti_join_shuffle
-
-    def as_tier_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            id_col: t.column(id_col).cast(idt),
-            "tier": t.column("tier").cast(pa.string()),
-        })
-
-    rem_rows = removed.map_batches(as_tier_rows, batch_format="pyarrow")
-    base_minus = anti_join_shuffle(
-        base, rem_rows.select_columns([id_col]), key_col=id_col,
-        left_schema=pa.schema([(id_col, idt), ("tier", pa.string())]),
-    )
-    return base_minus.union(rem_rows)
-
+    return membership_flags(base, removed, key_col=id_col,
+                            flag_col="__hit").map_batches(
+        relabel, batch_format="pyarrow", zero_copy_batch=True)
 
 def dedup_tiers_semantic(
     docs: "ray.data.Dataset",
@@ -417,7 +331,6 @@ def dedup_tiers_semantic(
     cosine_threshold: float = 0.95,
     emb_id_col: str = "vec_id",
     emb_col: str = "embedding",
-    broadcast_limit: int = 5_000_000,
     method: str = "lsh",
     **lsh_kwargs,
 ) -> "ray.data.Dataset":
@@ -430,38 +343,25 @@ def dedup_tiers_semantic(
     ``embeddings`` carries (emb_id_col, emb_col) with ids matching
     ``docs``' id column (rows without an embedding just keep their text
     tier; embedding ids are assumed ⊆ doc ids). The text-tier removed
-    set — duplicates only — filters the embedding table via the same
-    broadcast-or-anti-join switch the cascade uses internally."""
-    from dupers_ray.pipelines.maintenance import (
-        anti_join_broadcast,
-        anti_join_shuffle,
-    )
+    set — duplicates only — filters the embedding table through
+    ``maintenance.anti_join_auto``, the switch the cascade uses
+    internally."""
+    from dupers_ray.pipelines.maintenance import anti_join_auto
     from dupers_ray.stages.embed import embed_dup_clusters
 
     cfg = cfg or DedupConfig()
     id_col = cfg.id_col
-    base = dedup_tiers(docs, cfg, broadcast_limit=broadcast_limit)
+    base = dedup_tiers(docs, cfg)
     base = base.materialize()  # consumed: removed set + final overlay
-
-    import pyarrow.compute as pc
 
     removed123 = base.map_batches(
         lambda t: t.filter(
             pc.not_equal(t.column("tier"), "kept")
         ).select([id_col]),
         batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
-    n_removed = removed123.count()
-    if n_removed == 0:
-        live = embeddings
-    elif n_removed <= broadcast_limit:
-        keys = removed123.to_pandas()[id_col].to_numpy()
-        live = anti_join_broadcast(embeddings, keys, key_col=emb_id_col)
-    else:
-        live = anti_join_shuffle(
-            embeddings, removed123, key_col=emb_id_col,
-            right_key_col=id_col,
-        )
+    )
+    live = anti_join_auto(embeddings, removed123, key_col=emb_id_col,
+                          right_key_col=id_col)
 
     clusters = embed_dup_clusters(
         live, threshold=cosine_threshold, id_col=emb_id_col,
@@ -479,11 +379,7 @@ def dedup_tiers_semantic(
     r4 = keyed_partition_map_groups(
         clusters, "cluster_id", sem_removed, num_partitions=_N_PARTS
     )
-    idt = base.schema().base_schema.field(id_col).type \
-        if hasattr(base.schema(), "base_schema") else \
-        base.schema().field(id_col).type
-    return _overlay_tier(base, r4, "semantic", id_col=id_col, idt=idt,
-                         broadcast_limit=broadcast_limit)
+    return _overlay_tier(base, r4, "semantic", id_col=id_col)
 
 
 def tier_summary(tiers: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -509,9 +405,9 @@ def tier_source_summary(
     tiny final groupby."""
     import pandas as pd
 
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
 
-    labeled = hash_join(
+    labeled = cogroup_join(
         tiers, docs.select_columns([id_col, group_col]), on=id_col,
         left_schema=pa.schema([(id_col, pa.int64()),
                                ("tier", pa.string())]),
@@ -544,20 +440,12 @@ def tier_source_summary(
 _TIER_ORDER = ("exact", "normalized", "near")
 
 
-def _plan_keys(col) -> np.ndarray:
-    """Join keys for the budget plan (functions/hashing.key_i64)."""
-    from dupers_ray.functions.hashing import key_i64
-
-    return key_i64(col)
-
-
 def tier_budget_plan(
     docs: "ray.data.Dataset",
     cfg: DedupConfig | None = None,
     *,
     weight_col: str = "n_chars",
     budget_ppm: int = 600_000,
-    broadcast_limit: int = 5_000_000,
 ) -> pa.Table:
     """Which prefix of the tier cascade meets a token budget? For each
     cascade prefix (none → +exact → +normalized → +near) report the
@@ -569,93 +457,41 @@ def tier_budget_plan(
     full cascade overshoots and a quality/sampling stage must follow.
 
     Scale shape: the tier assignment's REMOVED set (duplicates only —
-    the small side by mass) broadcasts under ``broadcast_limit`` and
-    one streaming pass over (id, weight) bins every doc into its
-    removing tier (0 = kept) — two corpus passes total, 4-row partials,
-    driver-side prefix arithmetic. Above the limit the removed set
-    joins via the cogroup path instead (same 4-row reduction)."""
-    import ray as _ray
+    the small side by mass) joins (id, weight) as a left-outer
+    :func:`~dupers_ray.pipelines.joins.lookup_join` — broadcast while it
+    is small, the cogroup join above pipelines/joins.BROADCAST_ROWS — and
+    one streaming pass bins every doc into its removing tier (0 = kept):
+    two corpus passes total, 4-row partials, driver-side prefix
+    arithmetic."""
+    from dupers_ray.pipelines.joins import lookup_join
 
     cfg = cfg or DedupConfig()
     id_col = cfg.id_col
-    code_of = {t: i + 1 for i, t in enumerate(_TIER_ORDER)}
-
-    assign = dedup_tiers(
-        docs.select_columns([id_col, cfg.text_col]), cfg,
-        broadcast_limit=broadcast_limit,
-    )
-    import pyarrow.compute as pc
-
+    assign = dedup_tiers(docs.select_columns([id_col, cfg.text_col]), cfg)
     removed = assign.map_batches(
         lambda t: t.filter(pc.not_equal(t.column("tier"), "kept")),
         batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
+    )
+    tier_codes = pa.array(_TIER_ORDER)
 
-    weights = docs.select_columns([id_col, weight_col])
-    if removed.count() <= broadcast_limit:
-        rt = pa.concat_tables(
-            [t for t in _ray.get(removed.to_arrow_refs()) if len(t)]
-        ) if removed.count() else None
-        if rt is not None:
-            keys = _plan_keys(rt.column(id_col))
-            codes = np.array(
-                [code_of[v] for v in rt.column("tier").to_pylist()], np.int64
-            )
-            order = np.argsort(keys)
-            keys, codes = keys[order], codes[order]
-        else:
-            keys = np.empty(0, np.int64)
-            codes = np.empty(0, np.int64)
-        ref = _ray.put((keys, codes))
+    def partial(t: pa.Table) -> pa.Table:
+        # tier index in the cascade + 1; kept (no removed row) bins as 0
+        code = pc.fill_null(pc.add(pc.index_in(
+            t.column("tier").cast(pa.string()), value_set=tier_codes), 1), 0
+        ).to_numpy(zero_copy_only=False)
+        w = t.column(weight_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({
+            "code": pa.array(np.arange(4, dtype=np.int64)),
+            "nd": pa.array(np.bincount(code, minlength=4)[:4].astype(np.int64)),
+            "wc": pa.array(
+                np.bincount(code, weights=w, minlength=4)[:4].astype(np.int64)
+            ),
+        })
 
-        def partial(t: pa.Table) -> pa.Table:
-            k_s, c_s = _ray.get(ref)
-            bk = _plan_keys(t.column(id_col))
-            if len(k_s):
-                pos = np.searchsorted(k_s, bk).clip(0, len(k_s) - 1)
-                code = np.where(k_s[pos] == bk, c_s[pos], 0)
-            else:
-                code = np.zeros(len(bk), np.int64)
-            w = t.column(weight_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "code": pa.array(np.arange(4, dtype=np.int64)),
-                "nd": pa.array(np.bincount(code, minlength=4)[:4].astype(np.int64)),
-                "wc": pa.array(
-                    np.bincount(code, weights=w, minlength=4)[:4].astype(np.int64)
-                ),
-            })
-
-        parts = weights.map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas()
-    else:
-        from dupers_ray.pipelines.joins import hash_join
-
-        sch = docs.schema()
-        idt = (sch.base_schema if hasattr(sch, "base_schema") else sch) \
-            .field(id_col).type
-        joined = hash_join(
-            assign, weights, on=id_col,
-            left_schema=pa.schema([(id_col, idt), ("tier", pa.string())]),
-            right_schema=pa.schema([(id_col, idt), (weight_col, pa.int64())]),
-        )
-
-        def jpartial(t: pa.Table) -> pa.Table:
-            codes = np.array(
-                [code_of.get(v, 0) for v in t.column("tier").to_pylist()],
-                np.int64,
-            )
-            w = t.column(weight_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "code": pa.array(np.arange(4, dtype=np.int64)),
-                "nd": pa.array(np.bincount(codes, minlength=4)[:4].astype(np.int64)),
-                "wc": pa.array(
-                    np.bincount(codes, weights=w, minlength=4)[:4].astype(np.int64)
-                ),
-            })
-
-        parts = joined.map_batches(jpartial, batch_format="pyarrow").to_pandas()
-
+    parts = lookup_join(
+        docs.select_columns([id_col, weight_col]), removed, on=id_col,
+        how="left",
+    ).map_batches(partial, batch_format="pyarrow").to_pandas()
     agg = parts.groupby("code")[["nd", "wc"]].sum().reindex(range(4), fill_value=0)
     nd = agg["nd"].to_numpy(np.int64)
     wc = agg["wc"].to_numpy(np.int64)

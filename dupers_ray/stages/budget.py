@@ -446,14 +446,14 @@ def windows_from_layout(
     import pandas as pd
 
     from dupers_ray.functions.hashing import hash_str_u64
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
     from dupers_ray.stages.textstats import flat_tokens
 
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
     L = seq_len
 
-    joined = hash_join(
+    joined = cogroup_join(
         ds.select_columns([id_col, text_col]), layout, on=id_col,
         left_schema=pa.schema([(id_col, pa.int64()), (text_col, pa.string())]),
         right_schema=pa.schema([(id_col, pa.int64()),

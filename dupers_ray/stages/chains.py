@@ -50,7 +50,7 @@ def resolve_pointers(
     cycles from genuinely 2**rounds-deep chains (pytest-pinned)."""
     import pyarrow.compute as pc
 
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
 
     def init(t: pa.Table) -> pa.Table:
         i = t.column(id_col).cast(pa.int64())
@@ -83,7 +83,7 @@ def resolve_pointers(
             lambda t: t.rename_columns(["rid", "rptr", "rdist"]),
             batch_format="pyarrow", zero_copy_batch=True,
         )
-        joined = hash_join(
+        joined = cogroup_join(
             state, right, on="ptr", right_on="rid",
             num_partitions=num_partitions,
             left_schema=state_schema, right_schema=right_schema,

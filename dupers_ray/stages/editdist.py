@@ -121,7 +121,7 @@ def edit_verified_pairs(
     and the pair set is bounded by near-dup density; the Myers stage is
     one streaming map_batches over pair rows."""
     from dupers_ray.functions.hashing import node_ids
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
     from dupers_ray.stages.simhash import simhash_pairs
 
     # The pair set is near-dup-density bounded (the same contract the
@@ -164,7 +164,7 @@ def edit_verified_pairs(
     ])
     pfx_schema = pa.schema([("node", pa.uint64()), ("pfx", pa.string())])
     # cogroup_join emits lcols + rcols (right key column dropped)
-    j1 = hash_join(
+    j1 = cogroup_join(
         pairs, pfx_ds, on="src", right_on="node",
         left_schema=pair_schema, right_schema=pfx_schema,
     ).map_batches(
@@ -177,7 +177,7 @@ def edit_verified_pairs(
         ("src", pa.uint64()), ("dst", pa.uint64()), ("hamming", pa.int64()),
         ("pfx_a", pa.string()),
     ])
-    j2 = hash_join(
+    j2 = cogroup_join(
         j1, pfx_ds, on="dst", right_on="node",
         left_schema=j1_schema, right_schema=pfx_schema,
     )
@@ -218,7 +218,7 @@ def annotate_pairs_prefix_distance(
     the two docs' ``prefix``-char text prefixes (Myers, vectorized
     across pairs). Two cogroup joins ship only (id, prefix) rows for
     the paired docs; pair columns pass through, ``edit_dist`` appends."""
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
 
     def prefixes(t: pa.Table) -> pa.Table:
         pfx = [(s or "")[:prefix] for s in t.column(text_col).to_pylist()]
@@ -234,7 +234,7 @@ def annotate_pairs_prefix_distance(
     from dupers_ray.functions.grouping import arrow_schema
 
     pair_schema = arrow_schema(pairs)
-    j1 = hash_join(
+    j1 = cogroup_join(
         pairs, pfx_ds, on=left_col, right_on="__pid",
         left_schema=pair_schema, right_schema=pfx_schema,
     ).map_batches(
@@ -247,7 +247,7 @@ def annotate_pairs_prefix_distance(
         list(zip(pair_schema.names, pair_schema.types))
         + [("pfx_a", pa.string())]
     )
-    j2 = hash_join(
+    j2 = cogroup_join(
         j1, pfx_ds, on=right_col, right_on="__pid",
         left_schema=j1_schema, right_schema=pfx_schema,
     )

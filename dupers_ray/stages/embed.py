@@ -666,7 +666,6 @@ def embed_dup_clusters(
     emb_col: str = "embedding",
     method: str = "lsh",
     components_strategy: str = "auto",
-    broadcast_limit: int = 5_000_000,
     **lsh_kwargs,
 ) -> "ray.data.Dataset":
     """Embedding-space near-duplicate CLUSTERS — the flagship shape
@@ -724,9 +723,7 @@ def embed_dup_clusters(
     mapping = ds.select_columns([id_col]).map_batches(
         to_mapping, batch_format="pyarrow", zero_copy_batch=True
     )
-    return assign_clusters(
-        mapping, assign, id_col=id_col, broadcast_limit=broadcast_limit
-    )
+    return assign_clusters(mapping, assign, id_col=id_col)
 
 
 def _spherical_kmeans(

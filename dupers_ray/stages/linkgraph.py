@@ -587,7 +587,7 @@ def _pagerank_grouped(
     broadcast_limit and asserts grouped ≡ broadcast. Costs 2 shuffles
     per iteration where the broadcast path costs zero; that is the
     price of not holding the rank vector anywhere."""
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
 
     ekeys = _edge_keys(edges).materialize()  # consumed iters+1 times
     hosts = _host_table(edges, num_partitions)
@@ -614,8 +614,8 @@ def _pagerank_grouped(
         )
 
     state = (
-        hash_join(
-            hosts, deg, on="hkey", join_type="left_outer",
+        cogroup_join(
+            hosts, deg, on="hkey", how="left",
             num_partitions=num_partitions,
             left_schema=host_schema, right_schema=_HKC_SCHEMA,
         )
@@ -640,7 +640,7 @@ def _pagerank_grouped(
             })
 
         sval = state.map_batches(src_val, batch_format="pyarrow")
-        edge_val = hash_join(
+        edge_val = cogroup_join(
             ekeys, sval, on="skey", right_on="hkey",
             num_partitions=num_partitions,
             left_schema=pa.schema([("skey", pa.int64()), ("dkey", pa.int64())]),
@@ -667,8 +667,8 @@ def _pagerank_grouped(
         # the whole prefix each iteration (the chains.py pointer-doubling
         # lesson)
         state = (
-            hash_join(
-                state, contrib, on="hkey", join_type="left_outer",
+            cogroup_join(
+                state, contrib, on="hkey", how="left",
                 num_partitions=num_partitions,
                 left_schema=state_schema, right_schema=_HKC_SCHEMA,
             )
@@ -692,7 +692,7 @@ def _hits_grouped(
     contract as :func:`hits`, state in Datasets instead of broadcast
     ndarrays. Global maxima come from Dataset.max (a tree aggregate,
     driver holds one scalar)."""
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
 
     ekeys = _edge_keys(edges).materialize()  # consumed twice
     hosts = _host_table(edges, num_partitions)
@@ -715,7 +715,7 @@ def _hits_grouped(
 
     auth = a1.map_batches(scale(mx_a), batch_format="pyarrow").materialize()
 
-    edge_auth = hash_join(
+    edge_auth = cogroup_join(
         ekeys, auth, on="dkey", right_on="hkey",
         num_partitions=num_partitions,
         left_schema=pa.schema([("skey", pa.int64()), ("dkey", pa.int64())]),
@@ -737,13 +737,13 @@ def _hits_grouped(
 
         return f
 
-    joined = hash_join(
-        hosts, auth, on="hkey", join_type="left_outer",
+    joined = cogroup_join(
+        hosts, auth, on="hkey", how="left",
         num_partitions=num_partitions,
         left_schema=host_schema, right_schema=_HKC_SCHEMA,
     ).map_batches(rn("auth_ppm"), batch_format="pyarrow")
-    joined = hash_join(
-        joined, hub, on="hkey", join_type="left_outer",
+    joined = cogroup_join(
+        joined, hub, on="hkey", how="left",
         num_partitions=num_partitions,
         left_schema=pa.schema([
             ("hkey", pa.int64()), ("host", pa.large_string()),

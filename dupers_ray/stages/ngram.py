@@ -16,7 +16,7 @@ import pyarrow as pa
 
 import ray.data
 
-from dupers_ray.pipelines.joins import hash_join
+from dupers_ray.pipelines.joins import cogroup_join
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -120,7 +120,7 @@ def verify_pairs_exact(
     key_t = pa.int64() if raw_ids else pa.uint64()
     pair_schema = pa.schema([("src", key_t), ("dst", key_t)])
     text_schema = pa.schema([("node", key_t), ("text", pa.string())])
-    j1 = hash_join(
+    j1 = cogroup_join(
         pairs.select_columns(["src", "dst"]), texts, on="src", right_on="node",
         num_partitions=num_partitions,
         left_schema=pair_schema, right_schema=text_schema,
@@ -133,7 +133,7 @@ def verify_pairs_exact(
     j1_schema = pa.schema(
         [("src", key_t), ("dst", key_t), ("text_src", pa.string())]
     )
-    j2 = hash_join(
+    j2 = cogroup_join(
         j1, texts, on="dst", right_on="node", num_partitions=num_partitions,
         left_schema=j1_schema, right_schema=text_schema,
     )
@@ -200,7 +200,7 @@ def verify_containment_pairs(
     )
     pair_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
     text_schema = pa.schema([("node", pa.int64()), ("text", pa.string())])
-    j1 = hash_join(
+    j1 = cogroup_join(
         pairs.select_columns(["src", "dst"]), texts, on="src", right_on="node",
         num_partitions=num_partitions,
         left_schema=pair_schema, right_schema=text_schema,
@@ -213,7 +213,7 @@ def verify_containment_pairs(
     j1_schema = pa.schema(
         [("src", pa.int64()), ("dst", pa.int64()), ("text_src", pa.string())]
     )
-    j2 = hash_join(
+    j2 = cogroup_join(
         j1, texts, on="dst", right_on="node", num_partitions=num_partitions,
         left_schema=j1_schema, right_schema=text_schema,
     )

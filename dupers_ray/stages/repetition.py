@@ -275,7 +275,7 @@ def novelty_by_key(
     mixing-config-bounded, the same contract as temperature mixing)."""
     import pandas as pd
 
-    from dupers_ray.pipelines.joins import hash_join
+    from dupers_ray.pipelines.joins import cogroup_join
 
     nov = content_novelty(
         docs, id_col=id_col, text_col=text_col, k=k,
@@ -286,7 +286,7 @@ def novelty_by_key(
         (id_col, pa.int64()), ("n_grams", pa.int64()), ("n_novel", pa.int64()),
     ])
     key_schema = pa.schema([(id_col, pa.int64()), (key_col, pa.string())])
-    joined = hash_join(
+    joined = cogroup_join(
         nov, keys, on=id_col,
         left_schema=nov_schema, right_schema=key_schema,
     )

@@ -34,10 +34,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
-from dupers_ray.functions.hashing import hash_str_keys
 
 
 def _as_string(col) -> pa.Array:
@@ -114,36 +112,12 @@ def extract_sitemaps(
     )
 
 
-def sorted_str_lookup(skeys: np.ndarray, surls, h: np.ndarray, urls):
-    """(pos, hit) of each string of ``urls`` (hashes ``h``) in a table
-    sorted by hash ``skeys`` whose strings are ``surls``. A hit needs an
-    equal hash AND an equal string, so two strings sharing a 64-bit hash
-    never match; ``pos`` is the first matching entry."""
-    pos = np.zeros(len(h), np.int64)
-    hit = np.zeros(len(h), bool)
-    lo = np.searchsorted(skeys, h, side="left")
-    hi = np.searchsorted(skeys, h, side="right")
-    cand = np.flatnonzero(lo < hi)
-    k = 0
-    while len(cand):  # one pass per entry of the longest equal-hash run
-        p = lo[cand] + k
-        eq = pc.fill_null(pc.equal(
-            surls.take(pa.array(p)), urls.take(pa.array(cand))
-        ), False).to_numpy(zero_copy_only=False)
-        pos[cand[eq]] = p[eq]
-        hit[cand[eq]] = True
-        cand = cand[~eq & (p + 1 < hi[cand])]
-        k += 1
-    return pos, hit
-
-
 def resolve_sitemap_index(
     ds: "ray.data.Dataset",
     *,
     id_col: str = "host_id",
     url_col: str = "url",
     html_col: str = "html",
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """Two-level sitemap protocol: ``<sitemapindex>`` documents list
     child sitemap locs (often on a CDN host, so the child's own URL
@@ -153,13 +127,11 @@ def resolve_sitemap_index(
     by the child doc's own url) against index entries (child_url →
     host).  Scale shape: both levels extract in the same streaming
     pass over the sitemap corpus; the index side is one row per child
-    sitemap, so it broadcasts (sorted-hash searchsorted lookup) under
-    ``broadcast_limit`` and falls back to the cogroup join above it —
-    the count-gated switch the library uses everywhere
-    (maintenance.anti_join_auto).  Both paths match on the url STRING;
-    the hash only orders or routes.  Output: (host_id, loc), one row per
+    sitemap, joined by an inner ``pipelines/joins.lookup_join`` — a
+    broadcast sorted-hash lookup while it is small, the cogroup join above
+    ``joins.BROADCAST_ROWS``.  Both routes match on the url STRING; the
+    hash only orders or routes.  Output: (host_id, loc), one row per
     resolved page; children no index references are dropped."""
-    import functools as _ft
 
     def index_entries(t: pa.Table) -> pa.Table:
         mask = pc.match_substring(
@@ -181,42 +153,14 @@ def resolve_sitemap_index(
 
     idx = ds.map_batches(
         index_entries, batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
+    )
     chd = ds.map_batches(
         child_entries, batch_format="pyarrow", zero_copy_batch=True,
     )
 
-    if idx.count() <= broadcast_limit:
-        import ray as _ray
+    from dupers_ray.pipelines.joins import lookup_join
 
-        df = idx.to_pandas()
-        urls = pa.array(df["child_url"], pa.string())
-        keys = hash_str_keys(urls)
-        order = np.argsort(keys, kind="stable")
-        ref = _ray.put((keys[order], urls.take(pa.array(order)),
-                        df[id_col].to_numpy()[order]))
-
-        def attach(t: pa.Table) -> pa.Table:
-            skeys, surls, shosts = _ray.get(ref)
-            if len(skeys) == 0:
-                return pa.table({
-                    id_col: pa.array([], pa.int64()),
-                    "loc": pa.array([], pa.string()),
-                })
-            u = t.column(url_col).cast(pa.string())
-            pos, hit = sorted_str_lookup(skeys, surls, hash_str_keys(u), u)
-            return pa.table({
-                id_col: pa.array(shosts[pos[hit]]),
-                "loc": t.column("loc").filter(pa.array(hit)),
-            })
-
-        return chd.map_batches(
-            attach, batch_format="pyarrow", zero_copy_batch=True,
-        )
-
-    from dupers_ray.pipelines.joins import cogroup_join
-
-    joined = cogroup_join(
+    joined = lookup_join(
         chd, idx.select_columns(["child_url", id_col]),
         on=url_col, right_on="child_url",
     )

@@ -28,3 +28,29 @@ def pages_small():
     from dupers_ray.synth import synth_pages
 
     return synth_pages(n=600, seed=42)
+
+
+@pytest.fixture
+def force_cogroup(monkeypatch):
+    """Call to push every count-gated join onto its cogroup route
+    (``joins.BROADCAST_ROWS = 0``). Returns call counts of the names the
+    cogroup routes run — ``lookup``: ``joins.cogroup_join`` as called by
+    ``lookup_join``; ``membership``: ``maintenance.anti_join_shuffle`` as
+    called by ``anti_join_auto``/``membership_flags`` — so a test can
+    prove the route ran instead of comparing broadcast with broadcast."""
+    from dupers_ray.pipelines import joins, maintenance
+
+    def apply() -> dict:
+        calls = {"lookup": 0, "membership": 0}
+        for mod, name, kind in ((joins, "cogroup_join", "lookup"),
+                                (maintenance, "anti_join_shuffle",
+                                 "membership")):
+            def spy(*a, _real=getattr(mod, name), _kind=kind, **k):
+                calls[_kind] += 1
+                return _real(*a, **k)
+
+            monkeypatch.setattr(mod, name, spy)
+        monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+        return calls
+
+    return apply

@@ -144,8 +144,8 @@ def test_tiers_verb_with_store(env, tmp_path, capsys):
     assert "fused store now" in capsys.readouterr().out
 
 
-def test_up_clean_shuffle_path(env, tmp_path, monkeypatch):
-    """Force the hash-partitioned anti-join path (broadcast_limit=0) and
+def test_up_clean_shuffle_path(env, tmp_path, force_cogroup):
+    """Force the hash-partitioned anti-join path (joins.BROADCAST_ROWS = 0) and
     check `up`/`clean` produce byte-identical indexes to the broadcast
     path — the count-gated switch the library already uses (tiers.py),
     now on the CLI verbs so a billion-row index never take_all()s onto
@@ -171,8 +171,9 @@ def test_up_clean_shuffle_path(env, tmp_path, monkeypatch):
 
     broadcast = run(idx)
 
-    monkeypatch.setenv("DUPERS_RAY_BROADCAST_LIMIT", "0")
+    calls = force_cogroup()
     shuffled = run(str(tmp_path / "index_shuffle"))
+    assert calls["membership"] == 2  # the second `up` and `clean`
 
     assert shuffled == broadcast
     assert [u for u, _ in shuffled] == ["http://a/1", "http://c/new"]

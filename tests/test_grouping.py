@@ -20,7 +20,7 @@ from dupers_ray.functions.grouping import (
     coalesced_map_groups,
     keyed_partition_map_groups,
 )
-from dupers_ray.pipelines.joins import cogroup_join
+from dupers_ray.pipelines.joins import cogroup_join, sorted_str_lookup
 from dupers_ray.pipelines.maintenance import anti_join_shuffle
 
 
@@ -46,9 +46,13 @@ def _rows(ds_or_table) -> list[tuple]:
     tables = [ds_or_table] if isinstance(ds_or_table, pa.Table) else [
         ray.get(r) for r in ds_or_table.to_arrow_refs()
     ]
-    return sorted(
-        tuple(r.values()) for t in tables for r in t.to_pylist()
-    )
+    return _sorted(tuple(r.values()) for t in tables for r in t.to_pylist())
+
+
+def _sorted(rows) -> list[tuple]:
+    """Rows sorted with nulls ordered before every value."""
+    return sorted(rows, key=lambda r: tuple(
+        (v is not None, 0 if v is None else v) for v in r))
 
 
 def test_coalesced_map_groups_exact():
@@ -178,15 +182,171 @@ def test_string_join_compares_strings_not_routing_hash():
 
 def test_sitemap_lookup_colliding_hashes_match_strings():
     """Two different child urls forced onto one 64-bit hash: the
-    broadcast lookup must still resolve each url to its own host."""
-    from dupers_ray.stages.sitemap import sorted_str_lookup
-
-    skeys = np.array([7, 7, 9], np.uint64)
-    surls = pa.array(["http://a/s.xml", "http://b/s.xml", "http://c/s.xml"])
+    broadcast lookup must still resolve each url to its own entry, and a
+    repeated entry matches once per copy."""
+    skeys = np.array([7, 7, 9, 9], np.uint64)
+    surls = pa.array(["http://a/s.xml", "http://b/s.xml", "http://c/s.xml",
+                      "http://c/s.xml"])
     urls = pa.chunked_array([[
         "http://b/s.xml", "http://a/s.xml", "http://x/s.xml", "http://c/s.xml",
     ]])
     h = np.array([7, 7, 7, 9], np.uint64)
-    pos, hit = sorted_str_lookup(skeys, surls, h, urls)
-    assert hit.tolist() == [True, True, False, True]
-    assert pos[hit].tolist() == [1, 0, 2]
+    rows, pos = sorted_str_lookup(skeys, surls, h, urls)
+    assert rows.tolist() == [0, 1, 3, 3]
+    assert pos.tolist() == [1, 0, 2, 3]
+
+
+def _blocks_concat(ds) -> pa.Table:
+    """Concatenate the output block refs the way pagebench's collect
+    does; a schema-less empty block makes this raise."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def test_single_key_group_map_emits_typed_blocks():
+    left = pa.table({"url": ["a", "b", "c", "b"], "x": [1, 2, 3, 4]})
+    right = pa.table({"url": ["b", "d", "a"], "y": [10, 20, 30]})
+    joined = _blocks_concat(cogroup_join(
+        rd.from_arrow(left), rd.from_arrow(right), on="url", how="left",
+        num_partitions=1,
+    ))
+    assert _rows(joined) == _rows(
+        left.join(right, keys="url", join_type="left outer")
+        .select(["url", "x", "y"]))
+
+    one_key = pa.table({"k": [5, 5, 5], "v": [1, 2, 3]})
+    out = _blocks_concat(coalesced_map_groups(
+        rd.from_arrow(one_key), "k",
+        lambda g: pa.table({"k": g.column("k")[:1],
+                            "s": [pc.sum(g.column("v")).as_py()]}),
+        num_keys=1, batch_format="pyarrow",
+    ))
+    assert out.to_pylist() == [{"k": 5, "s": 6}]
+
+
+# -- the broadcast-or-cogroup switch (pipelines/joins.py) --------------------
+
+_BIG = 2**64 - 3  # above 2^63: a uint64 key that no int64 holds
+_KEY_VALUES = {
+    "int64": (pa.int64(), [0, 1, 2, 5, 7, -4], [2, 7, 9, -4, 0]),
+    "uint64": (pa.uint64(), [0, 1, 2, _BIG, 7, 2**63],
+               [2, 7, _BIG - 1, _BIG, 0]),
+    "string": (pa.string(), ["a", "b", "", "é", "zz", "b2"],
+               ["", "zz", "q", "a", "é"]),
+}
+
+
+def _switch_tables(key_type: str):
+    typ, lkeys, rkeys = _KEY_VALUES[key_type]
+    # left: every key twice plus a null key; right: unique keys, some missing
+    left = pa.table({
+        "k": pa.array(lkeys + lkeys + [None], typ),
+        "lv": pa.array(np.arange(2 * len(lkeys) + 1), pa.int64()),
+    })
+    right = pa.table({
+        "rk": pa.array(rkeys, typ),
+        "rv": pa.array([f"v{i}" for i in range(len(rkeys))], pa.string()),
+    })
+    return left, right
+
+
+def _switch_layouts(left: pa.Table, right: pa.Table):
+    """(left, right) Datasets: one block each, a few blocks each, and
+    shredded (one-row and empty blocks) on both sides."""
+    def split(t):
+        return [t.slice(0, 2), t.slice(2, 3), t.slice(5)]
+
+    return [(rd.from_arrow(left), rd.from_arrow(right)),
+            (rd.from_arrow(split(left)), rd.from_arrow(split(right))),
+            (rd.from_arrow(_shredded(left)), rd.from_arrow(_shredded(right)))]
+
+
+@pytest.fixture(params=["broadcast", "cogroup"])
+def route(request, monkeypatch, force_cogroup):
+    """Run a test on both routes of the switch; yields the cogroup
+    route's call counts (all zero on the broadcast route)."""
+    from dupers_ray.pipelines import joins
+
+    if request.param == "cogroup":
+        yield force_cogroup()
+    else:
+        monkeypatch.setattr(joins, "BROADCAST_ROWS", 10**12)
+        yield {"lookup": 0, "membership": 0}
+
+
+@pytest.mark.parametrize("key_type", list(_KEY_VALUES))
+@pytest.mark.parametrize("mode", ["anti", "semi", "flag"])
+def test_membership_switch_matches_pyarrow(route, request, key_type, mode):
+    from dupers_ray.pipelines.maintenance import anti_join_auto, membership_flags
+
+    left, right = _switch_tables(key_type)
+    present = pc.is_in(left.column("k"), value_set=right.column("rk"))
+    if mode == "flag":
+        exp = left.append_column("in_index", present)
+    else:
+        exp = left.filter(present if mode == "semi" else pc.invert(present))
+    for ldata, rdata in _switch_layouts(left, right):
+        if mode == "flag":
+            got = membership_flags(ldata, rdata, key_col="k",
+                                   right_key_col="rk")
+        else:
+            got = anti_join_auto(ldata, rdata, key_col="k",
+                                 right_key_col="rk", semi=mode == "semi")
+        assert _rows(got) == _rows(exp)
+    route_name = request.node.callspec.params["route"]
+    assert route["membership"] == (0 if route_name == "broadcast" else 3)
+
+
+@pytest.mark.parametrize("key_type", list(_KEY_VALUES))
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_lookup_join_switch_matches_pyarrow(route, request, key_type, how):
+    from dupers_ray.pipelines.joins import lookup_join
+
+    left, right = _switch_tables(key_type)
+    exp = _rows(left.join(
+        right, keys="k", right_keys="rk",
+        join_type="inner" if how == "inner" else "left outer",
+    ).select(["k", "lv", "rv"]))
+    for ldata, rdata in _switch_layouts(left, right):
+        got = lookup_join(ldata, rdata, on="k", right_on="rk", how=how)
+        assert _rows(got) == exp
+    # a driver table as the right side joins the same rows
+    got = lookup_join(rd.from_arrow(left), right, on="k", right_on="rk",
+                      how=how)
+    assert _rows(got) == exp
+    route_name = request.node.callspec.params["route"]
+    assert route["lookup"] == (0 if route_name == "broadcast" else 4)
+
+
+def test_lookup_join_repeats_rows_for_duplicate_right_keys(route):
+    from dupers_ray.pipelines.joins import lookup_join
+
+    left = pa.table({"k": ["a", "b", "c"], "lv": [1, 2, 3]})
+    right = pa.table({"k": ["a", "a", "c"], "rv": [10, 11, 30]})
+    for how, join_type in (("inner", "inner"), ("left", "left outer")):
+        got = lookup_join(rd.from_arrow(left), rd.from_arrow(right),
+                          on="k", how=how)
+        assert _rows(got) == _rows(left.join(right, keys="k",
+                                             join_type=join_type)
+                                   .select(["k", "lv", "rv"]))
+
+
+@pytest.mark.parametrize("key_type", list(_KEY_VALUES))
+def test_switch_empty_right_side(route, key_type):
+    from dupers_ray.pipelines.joins import lookup_join
+    from dupers_ray.pipelines.maintenance import anti_join_auto, membership_flags
+
+    left, right = _switch_tables(key_type)
+    empty = right.slice(0, 0)
+    for r in (rd.from_arrow(empty), empty):
+        assert _rows(anti_join_auto(rd.from_arrow(left), r, key_col="k",
+                                    right_key_col="rk")) == _rows(left)
+        assert _rows(anti_join_auto(rd.from_arrow(left), r, key_col="k",
+                                    right_key_col="rk", semi=True)) == []
+        flags = membership_flags(rd.from_arrow(left), r, key_col="k",
+                                 right_key_col="rk")
+        assert [f for *_, f in _rows(flags)] == [False] * left.num_rows
+        assert _rows(lookup_join(rd.from_arrow(left), r, on="k",
+                                 right_on="rk")) == []
+        got = lookup_join(rd.from_arrow(left), r, on="k", right_on="rk",
+                          how="left")
+        assert _rows(got) == _sorted((k, lv, None) for k, lv in _rows(left))

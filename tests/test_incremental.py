@@ -57,7 +57,7 @@ def test_incremental_equals_full(pages_small):
     assert sorted(s.url) == expected
 
 
-def test_incremental_shuffle_path_equals_broadcast(pages_small):
+def test_incremental_shuffle_path_equals_broadcast(pages_small, force_cogroup):
     cfg = DedupConfig()
     stored_pages, all_pages = _split(pages_small.pages)
     stored = minhash_signatures(
@@ -65,13 +65,13 @@ def test_incremental_shuffle_path_equals_broadcast(pages_small):
         with_digests=True,
     ).materialize()
     corpus = rd.from_arrow(all_pages).select_columns(["url", "text"])
-    bc, _ = dupe_clusters_incremental(
-        corpus, stored, cfg, known_broadcast_limit=10**9
-    )
-    sh, _ = dupe_clusters_incremental(
-        corpus, stored, cfg, known_broadcast_limit=0
-    )
-    pd.testing.assert_frame_equal(_clusters_df(bc), _clusters_df(sh))
+    bc, _ = dupe_clusters_incremental(corpus, stored, cfg)
+    bc = _clusters_df(bc)
+    calls = force_cogroup()
+    sh, _ = dupe_clusters_incremental(corpus, stored, cfg)
+    # known-id filter and cluster assignment both took the cogroup route
+    pd.testing.assert_frame_equal(bc, _clusters_df(sh))
+    assert calls == {"lookup": 1, "membership": 1}
 
 
 def test_stored_signatures_are_reused_not_recomputed(pages_small):

@@ -35,12 +35,13 @@ def test_membership_broadcast_matches_brute():
     assert got == exp  # 8 rows in, 8 rows out, flagged
 
 
-def test_membership_shuffle_path_equals_broadcast():
+def test_membership_shuffle_path_equals_broadcast(force_cogroup):
     left = rd.from_arrow(_left()).repartition(3)
     idx = _index(["d0", "d4"])
     bc = _flags(membership_flags(left, idx, key_col="digest"))
-    sh = _flags(membership_flags(left, idx, key_col="digest",
-                                 broadcast_limit=0))
+    calls = force_cogroup()
+    sh = _flags(membership_flags(left, idx, key_col="digest"))
+    assert calls["membership"] == 1
     assert bc == sh
     assert sum(bc.values()) == 3  # d0 x2 (i=0,5), d4 x1 (i=4)
 

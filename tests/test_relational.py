@@ -8,11 +8,7 @@ import pytest
 
 import ray.data as rd
 
-from dupers_ray.pipelines.relational import (
-    apply_lookup,
-    broadcast_lookup,
-    revenue_rollup,
-)
+from dupers_ray.pipelines.relational import revenue_rollup
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +85,19 @@ def test_nation_rollup_broadcast(tables):
     np.testing.assert_allclose(got["revenue"], exp["revenue"], rtol=1e-9)
 
 
-def test_lookup_miss_raises(tables):
-    _, _, nation = tables
-    ref = broadcast_lookup(
-        rd.from_pandas(nation), key_col="n_nationkey", value_col="n_name"
-    )
-    bad = rd.from_arrow(pa.table({"c_nationkey": pa.array([99], pa.int32())}))
-    with pytest.raises(Exception, match="lookup misses"):
-        apply_lookup(bad, ref, key_col="c_nationkey", out_col="n_name").take_all()
+def test_lookup_miss_raises(tables, force_cogroup):
+    """A customer nation key with no nation row raises on both routes of
+    the dimension lookup instead of grouping under a null name."""
+    orders, customer, nation = tables
+    used = sorted(set(customer["c_nationkey"]))
+    partial = rd.from_pandas(nation[nation["n_nationkey"] != used[0]])
+    for forced in (False, True):
+        if forced:
+            calls = force_cogroup()
+        with pytest.raises(Exception, match="lookup misses"):
+            revenue_rollup(rd.from_pandas(orders), rd.from_pandas(customer),
+                           nation=partial).take_all()
+    assert calls["lookup"] == 1
 
 
 def test_pricing_summary_integer_exact(ray_session):
@@ -170,7 +171,7 @@ def test_order_priority_exists_matches_duckdb(ray_session):
     assert out.equals(exp.astype(out.dtypes.to_dict()))
 
 
-def test_order_priority_exists_shuffle_path(ray_session):
+def test_order_priority_exists_shuffle_path(ray_session, force_cogroup):
     from dupers_ray.pipelines.relational import order_priority_exists
 
     sf = "/root/testdata/sf0.001"
@@ -178,8 +179,10 @@ def test_order_priority_exists_shuffle_path(ray_session):
     lineitem = rd.read_parquet(f"{sf}/lineitem.parquet")
     a = (order_priority_exists(orders, lineitem)
          .to_pandas().sort_values("o_orderpriority").reset_index(drop=True))
-    b = (order_priority_exists(orders, lineitem, broadcast_limit=0)
+    calls = force_cogroup()
+    b = (order_priority_exists(orders, lineitem)
          .to_pandas().sort_values("o_orderpriority").reset_index(drop=True))
+    assert calls["membership"] == 1
     assert a.equals(b)
 
 

@@ -179,20 +179,24 @@ def _forest_expected(n_docs: int, n_hosts: int):
     )
 
 
-def test_resolve_index_both_join_paths(ray_session):
+def test_resolve_index_both_join_paths(ray_session, force_cogroup):
     from dupers_ray.stages.sitemap import resolve_sitemap_index
     from dupers_ray.synth import synth_sitemap_forest
 
     n_docs, n_hosts = 41, 5
     exp = _forest_expected(n_docs, n_hosts)
-    for bl in (5_000_000, 0):  # broadcast path, then forced cogroup path
+    calls = None
+    for forced in (False, True):  # broadcast route, then cogroup route
+        if forced:
+            calls = force_cogroup()
         ds = rd.range(n_hosts).map_batches(
             synth_sitemap_forest,
             fn_kwargs={"n_docs": n_docs, "n_hosts": n_hosts},
             batch_format="pyarrow",
         )
-        res = resolve_sitemap_index(ds, broadcast_limit=bl).to_pandas()
+        res = resolve_sitemap_index(ds).to_pandas()
         assert sorted(zip(res["host_id"], res["loc"])) == exp
+    assert calls["lookup"] == 1
 
 
 def test_resolve_index_drops_unreferenced_children(ray_session):

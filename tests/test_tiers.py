@@ -54,14 +54,16 @@ def test_dedup_tiers_partitioning_invariant(ray_session):
     assert dict(zip(a.doc_id, a.tier)) == dict(zip(b.doc_id, b.tier))
 
 
-def test_dedup_tiers_shuffle_fallback_matches_broadcast(ray_session):
-    """broadcast_limit=0 forces the anti-join + cogroup fallbacks; labels
-    must be identical to the broadcast path."""
+def test_dedup_tiers_shuffle_fallback_matches_broadcast(ray_session,
+                                                         force_cogroup):
+    """joins.BROADCAST_ROWS = 0 forces the survivor anti-join, the near
+    tier's cluster assignment and the near-label overlay onto their
+    cogroup routes; labels must be identical to the broadcast routes."""
     cfg = DedupConfig(id_col="doc_id", text_col="text")
     a = dedup_tiers(rd.from_arrow(_corpus()), cfg).to_pandas()
-    b = dedup_tiers(
-        rd.from_arrow(_corpus()), cfg, broadcast_limit=0
-    ).to_pandas()
+    calls = force_cogroup()
+    b = dedup_tiers(rd.from_arrow(_corpus()), cfg).to_pandas()
+    assert calls == {"membership": 2, "lookup": 1}
     assert dict(zip(a.doc_id, a.tier)) == dict(zip(b.doc_id, b.tier))
 
 
@@ -188,10 +190,11 @@ def test_tier_source_summary(ray_session):
     assert got == exp_counter
 
 
-def test_tier_budget_plan_arithmetic_and_join_parity(ray_session):
+def test_tier_budget_plan_arithmetic_and_join_parity(ray_session,
+                                                     force_cogroup):
     """4-row plan: survivors after each cascade prefix, integer budget,
-    meets flags; the forced-join fallback (broadcast_limit=0) must equal
-    the broadcast path exactly."""
+    meets flags; the forced cogroup route (joins.BROADCAST_ROWS = 0) must
+    equal the broadcast route exactly."""
     from dupers_ray.pipelines.tiers import tier_budget_plan
 
     tbl = _corpus()
@@ -222,10 +225,11 @@ def test_tier_budget_plan_arithmetic_and_join_parity(ray_session):
     assert (out["budget"] == budget).all()
     assert list(out["meets_budget"]) == [s <= budget for s in exp_surv_w]
 
+    calls = force_cogroup()
     forced = tier_budget_plan(
         rd.from_arrow(tbl), cfg, weight_col="n_chars", budget_ppm=500_000,
-        broadcast_limit=0,
     ).to_pandas()
+    assert calls["lookup"] >= 1, calls
     assert forced.equals(out)
 
 
