@@ -38,11 +38,13 @@ sort's per-block scheduling cost, which does not depend on data size.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from dupers_ray.functions.hashing import hash_str_keys, splitmix64
 
@@ -73,11 +75,39 @@ def coalesced_map_groups(
     """``ds.groupby(key).map_groups(fn)`` after coalescing ``ds`` under
     the module's layout rule. ``num_keys``: the (approximate) distinct-key
     cardinality. ``fn`` is called once per key value."""
+    if batch_format == "pandas":
+        fn = _arrow_output(fn)
     return (
         ds.repartition(_num_blocks(num_keys))
         .groupby(key)
         .map_groups(fn, batch_format=batch_format, fn_kwargs=fn_kwargs)
     )
+
+
+def _arrow_type(dtype) -> pa.DataType:
+    """Arrow type of a pandas column dtype; object columns are string
+    (the engine's object columns are string ids)."""
+    if dtype is object or dtype == np.dtype("O"):
+        return pa.string()
+    return pa.Array.from_pandas(pd.Series([], dtype=dtype)).type
+
+
+def _arrow_output(fn):
+    """``fn`` with a pandas result returned as an Arrow table, typed even
+    with 0 rows. Every output block of a pandas group map is then Arrow:
+    Ray's pandas block size estimate cannot size 0-row object or string
+    columns (it logs an error per block), and ``to_arrow_refs`` hands back
+    unconverted pandas blocks when a Dataset's first block is Arrow."""
+    def wrapped(df, *args, **kwargs):
+        out = fn(df, *args, **kwargs)
+        if not isinstance(out, pd.DataFrame):
+            return out
+        if len(out):
+            return BlockAccessor.for_block(out).to_arrow()
+        return pa.table({str(c): pa.array([], _arrow_type(out[c].dtype))
+                         for c in out.columns})
+
+    return wrapped
 
 
 def _key_u64(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -153,9 +183,6 @@ def arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
     all-empty Dataset falls back to ``schema()``, whose pandas-block
     numpy dtypes / Python classes map through pandas (one empty Series
     per column)."""
-    import pandas as pd
-    from ray.data.block import BlockAccessor
-
     rows = [ref for bundle in ds.limit(1).iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows]
     if rows:
@@ -163,15 +190,10 @@ def arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
     s = ds.schema()
     if s is None:
         return pa.schema([])
-    fields = []
-    for name, typ in zip(s.names, s.types):
-        if not isinstance(typ, pa.DataType):
-            if typ is object or typ == np.dtype("O"):
-                typ = pa.string()  # engine object columns are string ids
-            else:
-                typ = pa.Array.from_pandas(pd.Series([], dtype=typ)).type
-        fields.append((name, typ))
-    return pa.schema(fields)
+    return pa.schema([
+        (name, typ if isinstance(typ, pa.DataType) else _arrow_type(typ))
+        for name, typ in zip(s.names, s.types)
+    ])
 
 
 def cogroup(

@@ -5,7 +5,8 @@ No native Ray Data primitive exists (SURVEY.md §7.4); two strategies:
 - ``driver``: union-find with path compression on the driver. Edges are
   streamed in via iter_batches (never a full to_pandas of the corpus —
   only the EDGE list, which is orders of magnitude smaller than the input).
-  Right choice while |edges| fits driver memory; guarded by ``max_driver_edges``.
+  Right choice while |edges| fits driver memory: at most
+  :data:`DRIVER_EDGES` edges.
 - ``distributed``: alternating large-star / small-star rounds (Kiveris
   et al., "Connected Components in MapReduce and Beyond", SoCC 2014) —
   two edge-scale groupby shuffles per round, O(log^2 n) rounds regardless
@@ -13,7 +14,8 @@ No native Ray Data primitive exists (SURVEY.md §7.4); two strategies:
   component. Convergence is detected by comparing consecutive rounds'
   edge multisets via a counter actor (no extra Dataset execution).
 
-``components(..., strategy="auto")`` counts edges first and picks.
+:func:`components` counts edges first and picks; the two are called
+directly where a caller needs one of them.
 Output: (node: uint64, cluster_id: uint64 = min node id in component).
 """
 
@@ -31,6 +33,10 @@ from dupers_ray.functions.grouping import keyed_partition_map_groups
 
 
 logger = logging.getLogger(__name__)
+
+# Edge limit of the driver union-find. Read at call time, so one
+# assignment moves the switch.
+DRIVER_EDGES = 2_000_000
 
 
 # ------------------------------------------------------------------ driver UF
@@ -286,18 +292,13 @@ def components_distributed(
     return by_u(E.union(selfs), assign)
 
 
-def components(
-    edges: "ray.data.Dataset",
-    *,
-    strategy: str = "auto",
-    max_driver_edges: int = 2_000_000,
-    num_partitions: int = 64,
-):
-    """Dispatch. Returns a Dataset (distributed) or pyarrow Table (driver)."""
-    if strategy == "auto":
-        n = edges.count()
-        strategy = "driver" if n <= max_driver_edges else "distributed"
-        logger.info("components: %d edges → %s strategy", n, strategy)
-    if strategy == "driver":
-        return components_driver(edges)
-    return components_distributed(edges, num_partitions=num_partitions)
+def components(edges: "ray.data.Dataset"):
+    """Dispatch on the edge count against :data:`DRIVER_EDGES` (read at
+    call time). Returns a Dataset (distributed) or pyarrow Table
+    (driver)."""
+    n = edges.count()
+    driver = n <= DRIVER_EDGES
+    logger.info("components: %d edges → %s strategy", n,
+                "driver" if driver else "distributed")
+    return components_driver(edges) if driver else \
+        components_distributed(edges)

@@ -186,9 +186,8 @@ def near_decontaminate(
     strategy="join" (blocklists too big to hold in worker memory): both
     sides' band rows (17 B each) shuffle into band-hash buckets; a
     vectorized per-partition merge emits cross-side candidate pairs, and
-    ``verify_pairs(strategy='join', compare='fold16')`` settles them with
-    the SAME uint16-fold rule — the two strategies produce identical
-    drop sets by construction (pytest-equal).
+    ``verify_pairs`` settles them with the SAME uint16-fold rule — the two
+    strategies produce identical drop sets by construction (pytest-equal).
 
     Semantics mirror the flagship exactly (stages/minhash OPH signatures,
     band hashes, uint16-fold verify), so the driver restates the whole
@@ -584,11 +583,7 @@ def _near_decontaminate_join(
         both, "band_hash", cross, num_partitions=num_partitions
     )
     vcfg = dataclasses.replace(minhash, jaccard_threshold=thr)
-    verified = verify_pairs(
-        pairs, csigs.union(bsigs), minhash=vcfg,
-        strategy="join", compare="fold16",
-        num_partitions=num_partitions,
-    )
+    verified = verify_pairs(pairs, csigs.union(bsigs), minhash=vcfg)
     bad_df = verified.select_columns(["src"]).to_pandas()
     bad_nodes = np.sort(np.unique(
         bad_df["src"].to_numpy(dtype=np.uint64)

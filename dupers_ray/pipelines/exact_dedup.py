@@ -59,7 +59,9 @@ def _group_canonical(g: pd.DataFrame, id_col: str, keep_cols: list[str]) -> pd.D
     Vectorized: stable sort by id + drop_duplicates keeps the min-id row per
     digest; group sizes come from one value_counts — no per-group loop."""
     if not len(g):
-        return pd.DataFrame(columns=[id_col, "digest", "n_dups", *keep_cols])
+        return g[[id_col, "digest", *keep_cols]].assign(
+            n_dups=pd.Series([], dtype="int64")
+        )[[id_col, "digest", "n_dups", *keep_cols]]
     sizes = g["digest"].value_counts(sort=False)
     firsts = g.sort_values(id_col, kind="mergesort").drop_duplicates(
         "digest", keep="first"

@@ -14,9 +14,10 @@ band rows are routed to shard actors, and each bucket emits STAR pairs
 m(m-1)/2 — which preserves connectivity for clustering. Buckets are
 uncapped: a boilerplate bucket costs O(members) pairs inside one shard.
 
-Verification scores candidate pairs against the signature table — a
-broadcast lookup up to ~2M docs, else two hash joins on the uint64 node
-id — and keeps pairs with estimated Jaccard >= cfg.jaccard_threshold.
+Verification scores candidate pairs against the signature table's
+uint16 folds through joins.map_pairs — a broadcast lookup up to ~2M
+docs, else two cogroup joins on the uint64 node id — and keeps pairs
+with estimated Jaccard >= cfg.jaccard_threshold.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ import logging
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from dupers_ray.config import MinHashConfig, ShingleConfig
+from dupers_ray.functions.arrowview import binary_matrix
 from dupers_ray.functions.grouping import keyed_partition_map_groups
-from dupers_ray.pipelines.joins import cogroup_join
+from dupers_ray.pipelines.joins import map_pairs
 from dupers_ray.stages.bucket_index import candidate_pairs_index
-from dupers_ray.stages.minhash import MinHasher, explode_bands
+from dupers_ray.stages.minhash import MinHasher, explode_bands, fold16_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -177,171 +180,57 @@ def verify_pairs(
     signatures: "ray.data.Dataset",
     *,
     minhash: MinHashConfig | None = None,
-    num_partitions: int = 32,
-    strategy: str = "auto",
-    broadcast_limit: int = 2_000_000,
-    compare: str = "fold16",
 ) -> "ray.data.Dataset":
     """Keep pairs whose signature-estimated Jaccard >= cfg.jaccard_threshold.
     Output: (src, dst, jaccard).
 
-    strategy="broadcast": the signature table is ray.put ONCE (node-sorted
-    arrays) and each pairs batch scores via searchsorted lookups — zero
-    shuffles. Right up to ~2M docs (about 1 GB of signatures); the default
-    "auto" picks it when the signature count fits, else falls back to
-    "join" (two cogroup hash joins — the 10^12-doc path).
-
-    ``compare="fold16"`` (default): BOTH paths compare uint16 signature
-    folds, so broadcast ≡ join exactly (the auto strategy switch can
-    never change the edge set) and both match the SQL oracle's
-    restatement; the fold adds ≤(1-J)/65536 estimate bias.
-    ``compare="full"`` keeps the unbiased full-uint32 comparison on the
-    join path for callers who want the estimate over cross-strategy
-    reproducibility."""
+    Both ends' uint16 signature FOLDS are fetched through
+    :func:`~dupers_ray.pipelines.joins.map_pairs` (broadcast up to
+    ``PAIR_BROADCAST_ROWS`` signatures, else two cogroup joins). The folds
+    are projected once, so either route compares the same values and
+    matches the SQL oracle's restatement; the fold adds ≤(1-J)/65536
+    estimate bias. Pairs are deduplicated within each 65536-row batch
+    first (cross-band duplicates are common); duplicates across batches
+    reach scoring, which connected components tolerates."""
     cfg = minhash or MinHashConfig()
-    if strategy == "auto":
-        n_sigs = signatures.count()
-        strategy = "broadcast" if n_sigs <= broadcast_limit else "join"
-    if strategy == "broadcast":
-        return _verify_pairs_broadcast(pairs, signatures, cfg)
-    sigs = signatures.select_columns(["node", "sig"])
+    num_perm, thr = cfg.num_perm, cfg.jaccard_threshold
 
-    pairs_schema = pa.schema([("src", pa.uint64()), ("dst", pa.uint64())])
-    sig_schema = pa.schema([("node", pa.uint64()), ("sig", pa.binary())])
-    # dedup_left: star pairs repeat across bands with the same src (bucket
-    # anchor), so per-partition full-row dedup inside the src-keyed join is
-    # a complete cross-band dedup — no dedicated dedup shuffle needed
-    j1 = cogroup_join(pairs, sigs, on="src", right_on="node",
-                   num_partitions=num_partitions,
-                   left_schema=pairs_schema, right_schema=sig_schema,
-                   dedup_left=True)
-    j1 = j1.map_batches(
-        lambda t: t.rename_columns(
-            ["sig_src" if c == "sig" else c for c in t.column_names]
-        ).drop_columns([c for c in ("node",) if c in t.column_names]),
-        batch_format="pyarrow",
-    )
-    j1_schema = pa.schema(
-        [("src", pa.uint64()), ("dst", pa.uint64()), ("sig_src", pa.binary())]
-    )
-    j2 = cogroup_join(j1, sigs, on="dst", right_on="node",
-                   num_partitions=num_partitions,
-                   left_schema=j1_schema, right_schema=sig_schema)
+    def folds(t: pa.Table) -> pa.Table:
+        if t.column("sig").null_count:
+            t = t.filter(pc.is_valid(t.column("sig")))
+        m = np.ascontiguousarray(fold16_matrix(t.column("sig"), num_perm))
+        return pa.table({
+            "node": t.column("node"),
+            "fold": pa.Array.from_buffers(
+                pa.binary(2 * num_perm), t.num_rows,
+                [None, pa.py_buffer(m)]).cast(pa.binary()),
+        })
 
-    def score(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"src": pa.array([], pa.uint64()), "dst": pa.array([], pa.uint64()),
-                 "jaccard": pa.array([], pa.float64())}
-            )
-        from dupers_ray.stages.minhash import fold16_matrix, sig_matrix
-
-        if compare == "fold16":
-            a = fold16_matrix(t.column("sig_src"), cfg.num_perm)
-            b = fold16_matrix(t.column("sig"), cfg.num_perm)
-        else:
-            a = sig_matrix(t.column("sig_src"), cfg.num_perm)
-            b = sig_matrix(t.column("sig"), cfg.num_perm)
-            if a.dtype == np.uint16 or b.dtype == np.uint16:
-                # a u2 store only holds the folds — comparing them would
-                # silently BE the fold16 estimate under a 'full' contract
-                raise ValueError(
-                    "compare='full' requires sig_store='u4' signatures; "
-                    "this table stores uint16 folds"
-                )
-        jac = (a == b).mean(axis=1)
-        keep = jac >= cfg.jaccard_threshold
-        return pa.table(
-            {
-                "src": t.column("src").filter(pa.array(keep)),
-                "dst": t.column("dst").filter(pa.array(keep)),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
-        )
-
-    return j2.map_batches(score, batch_format="pyarrow")
-
-
-def _verify_pairs_broadcast(
-    pairs: "ray.data.Dataset",
-    signatures: "ray.data.Dataset",
-    cfg: MinHashConfig,
-) -> "ray.data.Dataset":
-    """Broadcast-verify: signatures collected into (sorted nodes, sig
-    matrix) numpy arrays, shipped once via ray.put; per pairs batch:
-    in-batch (src,dst) dedup + searchsorted lookups + vectorized equality
-    mean. No shuffle; duplicate pairs across batches produce duplicate
-    edges, which connected components tolerates."""
-    import ray as _ray
-
-    import pyarrow.compute as pc
-
-    refs = signatures.select_columns(["node", "sig"]).to_arrow_refs()
-    tables = [t for t in _ray.get(refs) if len(t)]
-    tables = [
-        t.filter(pc.is_valid(t.column("sig"))) if t.column("sig").null_count else t
-        for t in tables
-    ]
-    tables = [t for t in tables if len(t)]
-    if tables:
-        at = pa.concat_tables(tables)
-        nodes = np.asarray(at.column("node"), dtype=np.uint64)
-        # compare LOW uint16 HALVES: equality of uint16 folds adds a
-        # false-match probability of 1/65536 per component (bias <= +0.0015%
-        # on the Jaccard estimate — round-1 ADVICE flagged the old uint8
-        # fold's 1/256 bias as a strategy-boundary reproducibility wart)
-        # while still halving the scoring loop's gather bandwidth vs u4.
-        # fold16_matrix reinterprets the Arrow buffer in place — the old
-        # to_pylist+join here copied ~300 MB on the DRIVER, a measured
-        # ~2 s serial floor in the flagship at every CPU level; under a
-        # "u2" signature store the stored bytes ARE the folds (no slice)
-        from dupers_ray.stages.minhash import fold16_matrix
-
-        mat = np.ascontiguousarray(fold16_matrix(at.column("sig"), cfg.num_perm))
-        order = np.argsort(nodes, kind="stable")
-        nodes, mat = nodes[order], mat[order]
-    else:
-        nodes = np.empty(0, np.uint64)
-        mat = np.empty((0, cfg.num_perm), np.uint16)
-    ref = _ray.put((nodes, mat))
-    thr = cfg.jaccard_threshold
-
-    def score(t: pa.Table) -> pa.Table:
-        # stateless task: ray.get of a local plasma object is zero-copy and
-        # near-free after the first fetch per node — no actor pool needed
-        nodes_, mat_ = _ray.get(ref)
-        empty = pa.table(
-            {"src": pa.array([], pa.uint64()), "dst": pa.array([], pa.uint64()),
-             "jaccard": pa.array([], pa.float64())}
-        )
-        if len(t) == 0 or len(nodes_) == 0:
-            return empty
+    def distinct(t: pa.Table) -> pa.Table:
         s = np.asarray(t.column("src"), dtype=np.uint64)
         d = np.asarray(t.column("dst"), dtype=np.uint64)
-        # in-batch pair dedup (cross-band duplicates are common)
-        with np.errstate(over="ignore"):
-            key = s * np.uint64(0x100000001B3) + d
-        _, first = np.unique(key, return_index=True)
-        s, d = s[first], d[first]
-        si = np.clip(np.searchsorted(nodes_, s), 0, len(nodes_) - 1)
-        di = np.clip(np.searchsorted(nodes_, d), 0, len(nodes_) - 1)
-        ok = (nodes_[si] == s) & (nodes_[di] == d)
-        if not ok.any():
-            return empty
-        s, d, si, di = s[ok], d[ok], si[ok], di[ok]
-        jac = (mat_[si] == mat_[di]).mean(axis=1)
-        keep = jac >= thr
-        return pa.table(
-            {
-                "src": pa.array(s[keep]),
-                "dst": pa.array(d[keep]),
-                "jaccard": pa.array(jac[keep].astype(np.float64)),
-            }
-        )
+        order = np.lexsort((d, s))
+        s, d = s[order], d[order]
+        first = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
+        return pa.table({"src": pa.array(s[first]), "dst": pa.array(d[first])})
 
-    return pairs.map_batches(
-        score, batch_format="pyarrow", zero_copy_batch=True, batch_size=65536
-    )
+    def score(p: pa.Table, a: pa.Table, b: pa.Table) -> pa.Table:
+        fa = binary_matrix(a.column("fold"), np.uint16)
+        fb = binary_matrix(b.column("fold"), np.uint16)
+        jac = (fa == fb).mean(axis=1) if p.num_rows else np.empty(0)
+        keep = pa.array(jac >= thr)
+        return pa.table({
+            "src": p.column("src").filter(keep),
+            "dst": p.column("dst").filter(keep),
+            "jaccard": pa.array(jac, pa.float64()).filter(keep),
+        })
+
+    rows = signatures.select_columns(["node", "sig"]).map_batches(
+        folds, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = pairs.select_columns(["src", "dst"]).map_batches(
+        distinct, batch_format="pyarrow", zero_copy_batch=True,
+        batch_size=65536)
+    return map_pairs(pairs, rows, score, ends=("src", "dst"), key="node")
 
 
 def near_dup_edges(
@@ -411,7 +300,6 @@ def pair_similarity_histogram(
     )
     scored = verify_pairs(
         pairs, sigs, minhash=replace(cfg, jaccard_threshold=0.0),
-        compare="fold16",
     )
     num_perm, width = cfg.num_perm, bin_comps
     n_bins = num_perm // bin_comps + 1

@@ -338,9 +338,9 @@ def mirror_clusters(
 
     Scale shape: the pair graph is host-cardinality-bounded (the
     rank-vector regime mirror_hosts already assumes), so components
-    resolves driver-side below ``max_driver_edges`` and falls back to
-    the Kiveris star-contraction path above it; the final labeling is
-    one broadcast-dict pass over the distinct-host rows."""
+    resolves driver-side up to ``components.DRIVER_EDGES`` edges and
+    falls back to the Kiveris star-contraction path above it; the final
+    labeling is one broadcast-dict pass over the distinct-host rows."""
     import ray
 
     from dupers_ray.functions.hashing import node_ids
@@ -357,9 +357,7 @@ def mirror_clusters(
             "dst": pa.array(node_ids(t.column("host_b").to_pylist())),
         })
 
-    assign = components(
-        pairs.map_batches(to_edges, batch_format="pyarrow"), strategy="auto"
-    )
+    assign = components(pairs.map_batches(to_edges, batch_format="pyarrow"))
     if isinstance(assign, pa.Table):  # driver strategy
         label = {int(n): int(c)
                  for n, c in zip(assign.column("node").to_pylist(),

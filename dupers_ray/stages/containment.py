@@ -29,10 +29,10 @@ Scale design — candidates never compare text:
    interior minimum AND ubiquitous) are capped at ``max_bucket`` outers
    with drop counts logged — never silently.
 3. verify on the CANDIDATE pairs only: raw-text `inner in outer` check
-   (exactly SQL ``position(a.text IN b.text) > 0``). Texts are fetched
-   once — broadcast (ray.put of id-sorted arrays) when the corpus is
-   small, else two cogroup hash joins carry each side's text to the pair
-   (payload bounded by candidate count, not the corpus).
+   (exactly SQL ``position(a.text IN b.text) > 0``). Both ends' texts
+   come through pipelines/joins.map_pairs — the (id, text) rows broadcast
+   when the corpus is small, else two cogroup joins carry each end's text
+   to the pair (payload bounded by candidate count, not the corpus).
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-import ray
 import ray.data
 
 from dupers_ray.functions.grouping import keyed_partition_map_groups
+from dupers_ray.pipelines.joins import map_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -181,8 +181,6 @@ def containment_pairs(
     text_col: str = "text",
     shingle=None,
     max_bucket: int = 65536,
-    verify: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """(inner_id, outer_id) pairs with ``inner.text`` a raw substring of
     ``outer.text`` (ids distinct; inner needs >= k+2 tokens — see module
@@ -199,10 +197,8 @@ def containment_pairs(
         grams, "gram", functools.partial(_emit_pairs, max_bucket=max_bucket),
         num_partitions=_GRAM_PARTITIONS, batch_format="pyarrow",
     )
-    return _verify_containment(
-        candidates, ds, id_col=id_col, text_col=text_col,
-        verify=verify, broadcast_limit=broadcast_limit,
-    )
+    return _verify_containment(candidates, ds, id_col=id_col,
+                               text_col=text_col)
 
 
 def _verify_containment(
@@ -211,80 +207,24 @@ def _verify_containment(
     *,
     id_col: str,
     text_col: str,
-    verify: str = "auto",
-    broadcast_limit: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Raw-text `inner in outer` filter over candidate pairs. The find()
     runs per CANDIDATE pair (C-speed str search), never per corpus row."""
-    if verify == "auto":
-        verify = "broadcast" if ds.count() <= broadcast_limit else "join"
+    def texts(t: pa.Table) -> pa.Table:
+        return pa.table({"id": t.column(id_col).cast(pa.int64()),
+                         "text": t.column(text_col)})
 
-    empty = pa.table({"inner_id": pa.array([], pa.int64()),
-                      "outer_id": pa.array([], pa.int64())})
-
-    if verify == "broadcast":
-        parts = [
-            ray.get(r)
-            for r in ds.select_columns([id_col, text_col]).to_arrow_refs()
-        ]
-        t = pa.concat_tables([p for p in parts if p.num_rows] or parts)
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids)
-        texts = np.asarray(t.column(text_col).to_pylist(), dtype=object)[order]
-        ref = ray.put((ids[order], texts))
-
-        def score(t: pa.Table) -> pa.Table:
-            ids_, texts_ = ray.get(ref)
-            a = np.asarray(t.column("inner_id"), dtype=np.int64)
-            b = np.asarray(t.column("outer_id"), dtype=np.int64)
-            if not len(a):
-                return empty
-            ta = texts_[np.searchsorted(ids_, a)]
-            tb = texts_[np.searchsorted(ids_, b)]
-            keep = np.fromiter(
-                (x is not None and y is not None and x in y
-                 for x, y in zip(ta, tb)),
-                bool, len(a),
-            )
-            return pa.table({"inner_id": pa.array(a[keep]),
-                             "outer_id": pa.array(b[keep])})
-
-        return pairs.map_batches(score, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-
-    # join path: texts meet candidates via two cogroup hash joins
-    from dupers_ray.pipelines.joins import cogroup_join
-
-    def txt(col_out: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({id_col: t.column(id_col).cast(pa.int64()),
-                             col_out: t.column(text_col)})
-        return f
-
-    pair_schema = pa.schema([("inner_id", pa.int64()), ("outer_id", pa.int64())])
-    ta = ds.map_batches(txt("t_in"), batch_format="pyarrow")
-    tb = ds.map_batches(txt("t_out"), batch_format="pyarrow")
-    sa = pa.schema([(id_col, pa.int64()), ("t_in", pa.string())])
-    sb = pa.schema([(id_col, pa.int64()), ("t_out", pa.string())])
-    j1 = cogroup_join(pairs, ta, on="inner_id", right_on=id_col,
-                      left_schema=pair_schema, right_schema=sa)
-    j1_schema = pa.schema([("inner_id", pa.int64()), ("outer_id", pa.int64()),
-                           ("t_in", pa.string())])
-    j2 = cogroup_join(j1, tb, on="outer_id", right_on=id_col,
-                      left_schema=j1_schema, right_schema=sb)
-
-    def score_joined(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return empty
-        ti = t.column("t_in").to_pylist()
-        to = t.column("t_out").to_pylist()
-        keep = np.fromiter(
+    def score(p: pa.Table, a: pa.Table, b: pa.Table) -> pa.Table:
+        keep = pa.array(np.fromiter(
             (x is not None and y is not None and x in y
-             for x, y in zip(ti, to)),
-            bool, t.num_rows,
-        )
-        mask = pa.array(keep)
-        return pa.table({"inner_id": t.column("inner_id").filter(mask),
-                         "outer_id": t.column("outer_id").filter(mask)})
+             for x, y in zip(a.column("text").to_pylist(),
+                             b.column("text").to_pylist())),
+            bool, p.num_rows,
+        ))
+        return pa.table({"inner_id": p.column("inner_id").filter(keep),
+                         "outer_id": p.column("outer_id").filter(keep)})
 
-    return j2.map_batches(score_joined, batch_format="pyarrow")
+    rows = ds.select_columns([id_col, text_col]).map_batches(
+        texts, batch_format="pyarrow", zero_copy_batch=True)
+    return map_pairs(pairs, rows, score, ends=("inner_id", "outer_id"),
+                     key="id")

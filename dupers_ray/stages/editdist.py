@@ -116,92 +116,26 @@ def edit_verified_pairs(
     (src, dst, hamming, edit_dist) — src/dst are node ids (least,
     greatest), matching simhash_pairs.
 
-    Scale shape: two cogroup joins ship only (node, 64-char prefix)
-    rows for the PAIRED docs' nodes — the corpus text never shuffles,
-    and the pair set is bounded by near-dup density; the Myers stage is
-    one streaming map_batches over pair rows."""
+    The simhash pairs go through :func:`annotate_pairs_prefix_distance`
+    keyed on the node id, so only (node, prefix) rows of the corpus reach
+    the pairs and the corpus text never shuffles."""
     from dupers_ray.functions.hashing import node_ids
-    from dupers_ray.pipelines.joins import cogroup_join
     from dupers_ray.stages.simhash import simhash_pairs
 
-    # The pair set is near-dup-density bounded (the same contract the
-    # venn/dedup reports rely on), so normalize it through ONE typed
-    # Arrow table: the simhash pair pipeline emits schema-less empty
-    # pandas blocks that poison the cogroup join's per-group schema
-    # (null-typed uint64 columns -> Acero refuses the join).
-    pairs_df = simhash_pairs(
-        docs.select_columns([id_col, text_col]), id_col=id_col,
-        text_col=text_col,
-    ).to_pandas()
-    empty = pa.table({
-        "src": pa.array([], pa.uint64()),
-        "dst": pa.array([], pa.uint64()),
-        "hamming": pa.array([], pa.int64()),
-        "edit_dist": pa.array([], pa.int64()),
-    })
-    if not len(pairs_df):
-        # an all-empty Dataset loses its schema and breaks the joins
-        return rd.from_arrow(empty)
-    pairs = rd.from_arrow(pa.table({
-        "src": pa.array(pairs_df["src"].to_numpy(np.uint64)),
-        "dst": pa.array(pairs_df["dst"].to_numpy(np.uint64)),
-        "hamming": pa.array(pairs_df["hamming"].to_numpy(np.int64)),
-    }))
+    docs = docs.select_columns([id_col, text_col])
 
-    def prefixes(t: pa.Table) -> pa.Table:
+    def with_node(t: pa.Table) -> pa.Table:
         node = node_ids([str(v) for v in t.column(id_col).to_pylist()])
-        pfx = [(s or "")[:prefix] for s in t.column(text_col).to_pylist()]
-        return pa.table({
-            "node": pa.array(node),
-            "pfx": pa.array(pfx, pa.string()),
-        })
+        return pa.table({"node": pa.array(node),
+                         text_col: t.column(text_col)})
 
-    pfx_ds = docs.select_columns([id_col, text_col]).map_batches(
-        prefixes, batch_format="pyarrow", zero_copy_batch=True
+    pairs = simhash_pairs(docs, id_col=id_col, text_col=text_col)
+    return annotate_pairs_prefix_distance(
+        pairs, docs.map_batches(with_node, batch_format="pyarrow",
+                                zero_copy_batch=True),
+        left_col="src", right_col="dst", id_col="node", text_col=text_col,
+        prefix=prefix,
     )
-    pair_schema = pa.schema([
-        ("src", pa.uint64()), ("dst", pa.uint64()), ("hamming", pa.int64()),
-    ])
-    pfx_schema = pa.schema([("node", pa.uint64()), ("pfx", pa.string())])
-    # cogroup_join emits lcols + rcols (right key column dropped)
-    j1 = cogroup_join(
-        pairs, pfx_ds, on="src", right_on="node",
-        left_schema=pair_schema, right_schema=pfx_schema,
-    ).map_batches(
-        lambda t: t.rename_columns(
-            [("pfx_a" if c == "pfx" else c) for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    j1_schema = pa.schema([
-        ("src", pa.uint64()), ("dst", pa.uint64()), ("hamming", pa.int64()),
-        ("pfx_a", pa.string()),
-    ])
-    j2 = cogroup_join(
-        j1, pfx_ds, on="dst", right_on="node",
-        left_schema=j1_schema, right_schema=pfx_schema,
-    )
-
-    def score(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return pa.table({
-                "src": pa.array([], pa.uint64()),
-                "dst": pa.array([], pa.uint64()),
-                "hamming": pa.array([], pa.int64()),
-                "edit_dist": pa.array([], pa.int64()),
-            })
-        d = myers_prefix_distance(
-            t.column("pfx_a").to_pylist(), t.column("pfx").to_pylist(),
-            m_cap=prefix,
-        )
-        return pa.table({
-            "src": t.column("src"),
-            "dst": t.column("dst"),
-            "hamming": t.column("hamming"),
-            "edit_dist": pa.array(d),
-        })
-
-    return j2.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def annotate_pairs_prefix_distance(
@@ -216,58 +150,25 @@ def annotate_pairs_prefix_distance(
 ) -> "rd.Dataset":
     """Annotate an id-keyed pair dataset with the exact edit distance of
     the two docs' ``prefix``-char text prefixes (Myers, vectorized
-    across pairs). Two cogroup joins ship only (id, prefix) rows for
-    the paired docs; pair columns pass through, ``edit_dist`` appends."""
-    from dupers_ray.pipelines.joins import cogroup_join
+    across pairs). Only (id, prefix) rows reach the pairs, through
+    pipelines/joins.map_pairs; pair columns pass through, ``edit_dist``
+    appends. Ids are integers; the pair columns take their type."""
+    from dupers_ray.pipelines.joins import map_pairs
 
     def prefixes(t: pa.Table) -> pa.Table:
         pfx = [(s or "")[:prefix] for s in t.column(text_col).to_pylist()]
-        return pa.table({
-            "__pid": t.column(id_col).cast(pa.int64()),
-            "pfx": pa.array(pfx, pa.string()),
-        })
+        return pa.table({"id": t.column(id_col),
+                         "pfx": pa.array(pfx, pa.string())})
 
-    pfx_ds = docs.select_columns([id_col, text_col]).map_batches(
-        prefixes, batch_format="pyarrow", zero_copy_batch=True
-    )
-    pfx_schema = pa.schema([("__pid", pa.int64()), ("pfx", pa.string())])
-    from dupers_ray.functions.grouping import arrow_schema
+    def score(p: pa.Table, a: pa.Table, b: pa.Table) -> pa.Table:
+        d = myers_prefix_distance(a.column("pfx").to_pylist(),
+                                  b.column("pfx").to_pylist(), m_cap=prefix)
+        return p.append_column("edit_dist", pa.array(d, pa.int64()))
 
-    pair_schema = arrow_schema(pairs)
-    j1 = cogroup_join(
-        pairs, pfx_ds, on=left_col, right_on="__pid",
-        left_schema=pair_schema, right_schema=pfx_schema,
-    ).map_batches(
-        lambda t: t.rename_columns(
-            [("pfx_a" if c == "pfx" else c) for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    j1_schema = pa.schema(
-        list(zip(pair_schema.names, pair_schema.types))
-        + [("pfx_a", pa.string())]
-    )
-    j2 = cogroup_join(
-        j1, pfx_ds, on=right_col, right_on="__pid",
-        left_schema=j1_schema, right_schema=pfx_schema,
-    )
-    out_cols = list(pair_schema.names)
-
-    def score(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            cols = {c: pa.array([], pair_schema.field(c).type)
-                    for c in out_cols}
-            cols["edit_dist"] = pa.array([], pa.int64())
-            return pa.table(cols)
-        d = myers_prefix_distance(
-            t.column("pfx_a").to_pylist(), t.column("pfx").to_pylist(),
-            m_cap=prefix,
-        )
-        cols = {c: t.column(c) for c in out_cols}
-        cols["edit_dist"] = pa.array(d)
-        return pa.table(cols)
-
-    return j2.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
+    rows = docs.select_columns([id_col, text_col]).map_batches(
+        prefixes, batch_format="pyarrow", zero_copy_batch=True)
+    return map_pairs(pairs, rows, score, ends=(left_col, right_col),
+                     key="id")
 
 
 def cluster_edit_profile(

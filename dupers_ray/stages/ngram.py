@@ -2,9 +2,10 @@
 
 ``exact_jaccard`` computes true word-k-gram Jaccard between two texts;
 ``verify_pairs_exact`` re-verifies candidate pairs against FULL TEXT
-(two hash joins shipping text to the pair — accurate but heavy; the
-signature-estimate path in near_dedup.verify_pairs is the scale default,
-this is the high-precision option and the trusted oracle in tests).
+(both ends' texts fetched through pipelines/joins.map_pairs — accurate
+but heavy; the signature-estimate path in near_dedup.verify_pairs is the
+scale default, this is the high-precision option and the trusted oracle
+in tests).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pyarrow as pa
 
 import ray.data
 
-from dupers_ray.pipelines.joins import cogroup_join
+from dupers_ray.pipelines.joins import map_pairs
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -87,6 +88,24 @@ def all_pairs_candidates(
     return ids_ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _texts(corpus, id_col: str, text_col: str, raw_ids: bool):
+    """(node, text) rows: node = the corpus id (int64) when ``raw_ids``,
+    else the uint64 node id hashed from it."""
+    from dupers_ray.functions.hashing import node_ids
+
+    def with_node(t: pa.Table) -> pa.Table:
+        if raw_ids:
+            node = t.column(id_col).cast(pa.int64())
+        else:
+            node = pa.array(node_ids([str(v) for v in
+                                      t.column(id_col).to_pylist()]))
+        return pa.table({"node": node, "text": t.column(text_col)})
+
+    return corpus.select_columns([id_col, text_col]).map_batches(
+        with_node, batch_format="pyarrow", zero_copy_batch=True
+    )
+
+
 def verify_pairs_exact(
     pairs: "ray.data.Dataset",
     corpus: "ray.data.Dataset",
@@ -95,71 +114,30 @@ def verify_pairs_exact(
     text_col: str = "text",
     k: int = 5,
     threshold: float = 0.6,
-    num_partitions: int = 64,
     raw_ids: bool = False,
 ) -> "ray.data.Dataset":
     """pairs (src, dst) × corpus (id, text) → (src, dst, jaccard_exact)
-    for pairs at/above threshold. Joins text to both sides. By default
-    src/dst are uint64 node ids (hashes of the corpus id column); with
-    ``raw_ids=True`` they are the corpus id values themselves (int64) —
-    the oracle-comparable mode."""
-    from dupers_ray.functions.hashing import node_ids
+    for pairs at/above threshold. Both ends' texts come through
+    pipelines/joins.map_pairs. By default src/dst are uint64 node ids
+    (hashes of the corpus id column); with ``raw_ids=True`` they are the
+    corpus id values themselves (int64) — the oracle-comparable mode."""
 
-    def with_node(t: pa.Table) -> pa.Table:
-        if raw_ids:
-            node = t.column(id_col).cast(pa.int64())
-        else:
-            ids = [str(v) for v in t.column(id_col).to_pylist()]
-            node = pa.array(node_ids(ids))
-        return pa.table({"node": node, "text": t.column(text_col)})
-
-    texts = corpus.select_columns([id_col, text_col]).map_batches(
-        with_node, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    key_t = pa.int64() if raw_ids else pa.uint64()
-    pair_schema = pa.schema([("src", key_t), ("dst", key_t)])
-    text_schema = pa.schema([("node", key_t), ("text", pa.string())])
-    j1 = cogroup_join(
-        pairs.select_columns(["src", "dst"]), texts, on="src", right_on="node",
-        num_partitions=num_partitions,
-        left_schema=pair_schema, right_schema=text_schema,
-    ).map_batches(
-        lambda t: t.rename_columns(
-            ["text_src" if c == "text" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    j1_schema = pa.schema(
-        [("src", key_t), ("dst", key_t), ("text_src", pa.string())]
-    )
-    j2 = cogroup_join(
-        j1, texts, on="dst", right_on="node", num_partitions=num_partitions,
-        left_schema=j1_schema, right_schema=text_schema,
-    )
-
-    def score(t: pa.Table) -> pa.Table:
-        src = t.column("src")
-        dst = t.column("dst")
+    def score(p: pa.Table, a: pa.Table, b: pa.Table) -> pa.Table:
         ja = np.array(
-            [
-                exact_jaccard(a or "", b or "", k)
-                for a, b in zip(
-                    t.column("text_src").to_pylist(), t.column("text").to_pylist()
-                )
-            ],
+            [exact_jaccard(x or "", y or "", k) for x, y in zip(
+                a.column("text").to_pylist(), b.column("text").to_pylist())],
             np.float64,
         )
         keep = pa.array(ja >= threshold)
-        return pa.table(
-            {
-                "src": src.filter(keep),
-                "dst": dst.filter(keep),
-                "jaccard_exact": pa.array(ja[ja >= threshold]),
-            }
-        )
+        return pa.table({
+            "src": p.column("src").filter(keep),
+            "dst": p.column("dst").filter(keep),
+            "jaccard_exact": pa.array(ja).filter(keep),
+        })
 
-    return j2.map_batches(score, batch_format="pyarrow")
+    return map_pairs(pairs.select_columns(["src", "dst"]),
+                     _texts(corpus, id_col, text_col, raw_ids), score,
+                     ends=("src", "dst"), key="node")
 
 
 def exact_containment(a: str, b: str, k: int = 5) -> tuple[float, float]:
@@ -185,52 +163,25 @@ def verify_containment_pairs(
     text_col: str = "text",
     k: int = 5,
     threshold: float = 0.5,
-    num_partitions: int = 64,
 ) -> "ray.data.Dataset":
     """pairs (src, dst) × corpus → (src_id, dst_id, c_src, c_dst) where
-    max(c_src, c_dst) >= threshold. Same two-hash-join text delivery as
+    max(c_src, c_dst) >= threshold. Same text delivery as
     verify_pairs_exact (raw int64 ids — the oracle-comparable mode)."""
 
-    def with_node(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t.column(id_col).cast(pa.int64()),
-                         "text": t.column(text_col)})
-
-    texts = corpus.select_columns([id_col, text_col]).map_batches(
-        with_node, batch_format="pyarrow", zero_copy_batch=True
-    )
-    pair_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-    text_schema = pa.schema([("node", pa.int64()), ("text", pa.string())])
-    j1 = cogroup_join(
-        pairs.select_columns(["src", "dst"]), texts, on="src", right_on="node",
-        num_partitions=num_partitions,
-        left_schema=pair_schema, right_schema=text_schema,
-    ).map_batches(
-        lambda t: t.rename_columns(
-            ["text_src" if c == "text" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
-    j1_schema = pa.schema(
-        [("src", pa.int64()), ("dst", pa.int64()), ("text_src", pa.string())]
-    )
-    j2 = cogroup_join(
-        j1, texts, on="dst", right_on="node", num_partitions=num_partitions,
-        left_schema=j1_schema, right_schema=text_schema,
-    )
-
-    def score(t: pa.Table) -> pa.Table:
-        cs = np.empty(t.num_rows, np.float64)
-        cd = np.empty(t.num_rows, np.float64)
-        for i, (a, b) in enumerate(zip(
-            t.column("text_src").to_pylist(), t.column("text").to_pylist()
-        )):
-            cs[i], cd[i] = exact_containment(a or "", b or "", k)
+    def score(p: pa.Table, a: pa.Table, b: pa.Table) -> pa.Table:
+        cs = np.empty(p.num_rows, np.float64)
+        cd = np.empty(p.num_rows, np.float64)
+        for i, (x, y) in enumerate(zip(a.column("text").to_pylist(),
+                                       b.column("text").to_pylist())):
+            cs[i], cd[i] = exact_containment(x or "", y or "", k)
         keep = pa.array(np.maximum(cs, cd) >= threshold)
         return pa.table({
-            "src_id": t.column("src").filter(keep),
-            "dst_id": t.column("dst").filter(keep),
-            "c_src": pa.array(cs[np.maximum(cs, cd) >= threshold]),
-            "c_dst": pa.array(cd[np.maximum(cs, cd) >= threshold]),
+            "src_id": p.column("src").filter(keep),
+            "dst_id": p.column("dst").filter(keep),
+            "c_src": pa.array(cs).filter(keep),
+            "c_dst": pa.array(cd).filter(keep),
         })
 
-    return j2.map_batches(score, batch_format="pyarrow")
+    return map_pairs(pairs.select_columns(["src", "dst"]),
+                     _texts(corpus, id_col, text_col, True), score,
+                     ends=("src", "dst"), key="node")

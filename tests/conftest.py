@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 import ray
 
@@ -33,24 +35,31 @@ def pages_small():
 @pytest.fixture
 def force_cogroup(monkeypatch):
     """Call to push every count-gated join onto its cogroup route
-    (``joins.BROADCAST_ROWS = 0``). Returns call counts of the names the
-    cogroup routes run — ``lookup``: ``joins.cogroup_join`` as called by
-    ``lookup_join``; ``membership``: ``maintenance.anti_join_shuffle`` as
-    called by ``anti_join_auto``/``membership_flags`` — so a test can
-    prove the route ran instead of comparing broadcast with broadcast."""
+    (``joins.BROADCAST_ROWS = 0`` and ``joins.PAIR_BROADCAST_ROWS = 0``).
+    Returns call counts of the names the cogroup routes run — ``lookup``:
+    ``joins.cogroup_join`` as called by ``lookup_join``; ``pair``: the
+    same as called by ``map_pairs`` (two per call); ``membership``:
+    ``maintenance.anti_join_shuffle`` as called by
+    ``anti_join_auto``/``membership_flags`` — so a test can prove the
+    route ran instead of comparing broadcast with broadcast."""
     from dupers_ray.pipelines import joins, maintenance
 
     def apply() -> dict:
-        calls = {"lookup": 0, "membership": 0}
-        for mod, name, kind in ((joins, "cogroup_join", "lookup"),
-                                (maintenance, "anti_join_shuffle",
-                                 "membership")):
-            def spy(*a, _real=getattr(mod, name), _kind=kind, **k):
-                calls[_kind] += 1
-                return _real(*a, **k)
+        calls = {"lookup": 0, "membership": 0, "pair": 0}
 
-            monkeypatch.setattr(mod, name, spy)
+        def join_spy(*a, _real=joins.cogroup_join, **k):
+            caller = sys._getframe(1).f_code.co_name
+            calls["pair" if caller == "map_pairs" else "lookup"] += 1
+            return _real(*a, **k)
+
+        def membership_spy(*a, _real=maintenance.anti_join_shuffle, **k):
+            calls["membership"] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(joins, "cogroup_join", join_spy)
+        monkeypatch.setattr(maintenance, "anti_join_shuffle", membership_spy)
         monkeypatch.setattr(joins, "BROADCAST_ROWS", 0)
+        monkeypatch.setattr(joins, "PAIR_BROADCAST_ROWS", 0)
         return calls
 
     return apply

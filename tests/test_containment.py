@@ -81,12 +81,14 @@ def test_token_contract_boundary():
     assert (2, 0) not in got  # excluded by the documented contract
 
 
-def test_verify_join_equals_broadcast(pages_small):
+def test_verify_join_equals_broadcast(pages_small, force_cogroup):
     t = pages_small.pages
     tbl = pa.table({
         "doc_id": pa.array(np.arange(t.num_rows, dtype=np.int64)),
         "text": t.column("text"),
     })
-    bc = _pairs_set(containment_pairs(rd.from_arrow(tbl), verify="broadcast"))
-    jn = _pairs_set(containment_pairs(rd.from_arrow(tbl), verify="join"))
+    bc = _pairs_set(containment_pairs(rd.from_arrow(tbl)))
+    calls = force_cogroup()
+    jn = _pairs_set(containment_pairs(rd.from_arrow(tbl)))
+    assert calls["pair"] == 2
     assert bc == jn and bc

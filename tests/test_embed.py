@@ -68,13 +68,15 @@ def test_cosine_pairs_broadcast_exact():
     assert (got["a"] < got["b"]).all()
 
 
-def test_cosine_pairs_lsh_verify_paths_agree():
-    """Broadcast and join verify strategies must produce the same pair SET
-    (scores within float32 accumulation noise of each other)."""
+def test_cosine_pairs_lsh_verify_paths_agree(force_cogroup):
+    """Broadcast and cogroup routes of the pair gather must produce the
+    same pair SET."""
     tbl, ids, m = _corpus(n=350, n_dup=15)
     ds = rd.from_arrow(tbl).repartition(4)
-    bc = cosine_pairs_lsh(ds, threshold=0.95, dim=16, verify="broadcast").to_pandas()
-    jn = cosine_pairs_lsh(ds, threshold=0.95, dim=16, verify="join").to_pandas()
+    bc = cosine_pairs_lsh(ds, threshold=0.95, dim=16).to_pandas()
+    calls = force_cogroup()
+    jn = cosine_pairs_lsh(ds, threshold=0.95, dim=16).to_pandas()
+    assert calls["pair"] == 2
     assert set(zip(bc["a"], bc["b"])) == set(zip(jn["a"], jn["b"]))
     assert len(bc) > 0
 

@@ -82,7 +82,8 @@ def test_coalesced_map_groups_exact():
     for bundle in out.iter_internal_ref_bundles():
         for ref, _ in bundle.blocks:
             blk = ray.get(ref)
-            cols = list(blk.columns) if hasattr(blk, "columns") else blk.schema.names
+            cols = blk.column_names if isinstance(blk, pa.Table) \
+                else list(blk.columns)
             assert list(cols) == ["__part", "s"] or len(blk) == 0
 
 
@@ -270,7 +271,8 @@ def route(request, monkeypatch, force_cogroup):
         yield force_cogroup()
     else:
         monkeypatch.setattr(joins, "BROADCAST_ROWS", 10**12)
-        yield {"lookup": 0, "membership": 0}
+        monkeypatch.setattr(joins, "PAIR_BROADCAST_ROWS", 10**12)
+        yield {"lookup": 0, "membership": 0, "pair": 0}
 
 
 @pytest.mark.parametrize("key_type", list(_KEY_VALUES))
@@ -350,3 +352,132 @@ def test_switch_empty_right_side(route, key_type):
         got = lookup_join(rd.from_arrow(left), r, on="k", right_on="rk",
                           how="left")
         assert _rows(got) == _sorted((k, lv, None) for k, lv in _rows(left))
+
+
+# -- the pair gather (joins.map_pairs) ---------------------------------------
+
+# (pair end type, key type, key values): int32 ends exercise the cast
+_PAIR_KEYS = {
+    "int64": (pa.int32(), pa.int64(), [0, 5, -4, 7, 2]),
+    "uint64": (pa.uint64(), pa.uint64(), [0, 5, _BIG, 2**63, 2]),
+}
+
+
+def _pair_tables(key_type: str):
+    end_t, key_t, k = _PAIR_KEYS[key_type]
+    # k[1] twice (fan-out), k[4] missing
+    rows = pa.table({"key": pa.array([k[0], k[1], k[2], k[3], k[1]], key_t),
+                     "v": ["r0", "r1", "r2", "r3", "r1b"]})
+    # a duplicate pair row (1, 2), a missing end (3) and a null end (6)
+    pairs = pa.table({
+        "x": pa.array([k[0], k[1], k[1], k[4], k[3], k[2], None], end_t),
+        "y": pa.array([k[1], k[2], k[2], k[0], k[3], k[0], k[0]], end_t),
+        "tag": pa.array(range(7), pa.int64()),
+    })
+    return pairs, rows
+
+
+def _gather_fn():
+    """The per-batch fn under test (nested, so Ray ships it by value)."""
+    def fn(p: pa.Table, a: pa.Table, b: pa.Table) -> pa.Table:
+        return p.append_column("va", a.column("v")).append_column(
+            "vb", b.column("v"))
+
+    return fn
+
+
+def _double_join(pairs: pa.Table, rows: pa.Table) -> list[tuple]:
+    """Driver-side ``pairs ⋈ rows ON x ⋈ rows ON y`` fed to the same fn."""
+    kt = rows.schema.field("key").type
+    j = pa.table({"x": pairs.column("x").cast(kt),
+                  "y": pairs.column("y").cast(kt),
+                  "tag": pairs.column("tag")})
+    for end, v in (("x", "va"), ("y", "vb")):
+        j = j.join(rows.rename_columns(["__k", v]), keys=end,
+                   right_keys="__k", join_type="inner")
+    return _rows(_gather_fn()(j.select(["x", "y", "tag"]),
+                            j.select(["va"]).rename_columns(["v"]),
+                            j.select(["vb"]).rename_columns(["v"])))
+
+
+@pytest.mark.parametrize("key_type", list(_PAIR_KEYS))
+def test_map_pairs_matches_pyarrow_double_join(route, request, key_type):
+    from dupers_ray.pipelines.joins import map_pairs
+
+    pairs, rows = _pair_tables(key_type)
+    exp = _double_join(pairs, rows)
+    # fan-out doubles pairs 0-2, pair 2 repeats pair 1, pairs 3 and 6 drop
+    assert len(exp) == 8
+    for pdata, rdata in _switch_layouts(pairs, rows):
+        got = map_pairs(pdata, rdata, _gather_fn(), ends=("x", "y"),
+                        key="key")
+        assert _rows(got) == exp
+    route_name = request.node.callspec.params["route"]
+    assert route["pair"] == (0 if route_name == "broadcast" else 6)
+
+
+@pytest.mark.parametrize("key_type", list(_PAIR_KEYS))
+def test_map_pairs_empty_sides(route, key_type):
+    from dupers_ray.pipelines.joins import map_pairs
+
+    pairs, rows = _pair_tables(key_type)
+    got = map_pairs(rd.from_arrow(pairs.slice(0, 0)), rd.from_arrow(rows),
+                    _gather_fn(), ends=("x", "y"), key="key")
+    assert _rows(got) == []
+    # no rows: nothing matches, but fn still runs and fixes the schema
+    got = _blocks_concat(map_pairs(
+        rd.from_arrow(pairs), rd.from_arrow(rows.slice(0, 0)), _gather_fn(),
+        ends=("x", "y"), key="key"))
+    assert got.num_rows == 0
+    assert got.column_names == ["x", "y", "tag", "va", "vb"]
+
+
+# -- 0-row pandas outputs of group maps ---------------------------------------
+
+def test_empty_pandas_group_outputs_size_without_errors(caplog):
+    """Ray's pandas-block size estimate logs `Error calculating size for
+    column ...` for 0-row object/string columns; the grouping layer hands
+    group-map outputs to Ray as typed Arrow tables instead."""
+    import logging
+
+    from ray.data.block import BlockAccessor
+
+    from dupers_ray.functions.grouping import _arrow_output
+    from dupers_ray.pipelines.exact_dedup import _group_pairs
+    from dupers_ray.pipelines.overlap import _pair_rows
+
+    empty = pd.DataFrame({
+        "url": pd.Series([], dtype=object),
+        "digest": pd.Series([], dtype=object),
+        "source": pd.Series([], dtype=object),
+        "n": pd.Series([], dtype="int64"),
+    })
+    no_pairs = pd.DataFrame({"url": ["u"], "digest": ["d"], "source": ["s"],
+                             "n": [1]})  # one doc: no pair at all
+    site_fns = {  # output column -> the group function that emits it
+        "match_url": lambda g: _group_pairs(g, "url"),  # report, CLI
+        "source_a": lambda g: _pair_rows(g, "source"),  # overlap
+        "host_a": lambda g: _pair_rows(g, "source").rename(
+            columns={"source_a": "host_a", "source_b": "host_b"}),
+        "tier": lambda g: pd.DataFrame({  # tiers near / semantic
+            "url": g["url"].to_numpy()[:0],
+            "tier": pd.Series([], dtype="string"),
+        }),
+    }
+    ray_log = logging.getLogger("ray.data")
+    ray_log.addHandler(caplog.handler)  # Ray's loggers do not propagate
+    try:
+        with caplog.at_level(logging.WARNING, logger="ray.data"):
+            for col, fn in site_fns.items():
+                for group in (empty, no_pairs):
+                    out = _arrow_output(fn)(group)
+                    assert isinstance(out, pa.Table) and out.num_rows == 0
+                    assert out.schema.field(col).type == pa.string()
+                    BlockAccessor.for_block(out).size_bytes()
+            # the unwrapped pandas frame does log it: the check can fail
+            BlockAccessor.for_block(site_fns["tier"](empty)).size_bytes()
+    finally:
+        ray_log.removeHandler(caplog.handler)
+    errors = [r for r in caplog.records
+              if "Error calculating size" in r.getMessage()]
+    assert len(errors) == 2  # the unwrapped frame's two string columns

@@ -71,7 +71,7 @@ def test_incremental_shuffle_path_equals_broadcast(pages_small, force_cogroup):
     sh, _ = dupe_clusters_incremental(corpus, stored, cfg)
     # known-id filter and cluster assignment both took the cogroup route
     pd.testing.assert_frame_equal(bc, _clusters_df(sh))
-    assert calls == {"lookup": 1, "membership": 1}
+    assert calls == {"lookup": 1, "membership": 1, "pair": 2}
 
 
 def test_stored_signatures_are_reused_not_recomputed(pages_small):

@@ -352,31 +352,3 @@ class TestWindowedNearPairs:
             (1, 2, 500_000)
         ]
 
-
-def test_verify_full_compare_rejects_u2_store():
-    """compare='full' on a uint16-fold store would silently BE fold16;
-    it must raise instead (round-4 review)."""
-    import numpy as np
-    import pyarrow as pa
-    import pytest
-    import ray.data as rd
-
-    from dupers_ray.config import MinHashConfig
-    from dupers_ray.pipelines.near_dedup import verify_pairs
-    from dupers_ray.stages.minhash import pack_sig
-
-    cfg = MinHashConfig()
-    sig = np.arange(cfg.num_perm * 2, dtype=np.uint32).reshape(2, -1)
-    packed = pack_sig(sig, "u2")
-    sigs = rd.from_arrow(pa.table({
-        "node": pa.array([1, 2], pa.uint64()),
-        "sig": pa.array([packed[0].tobytes(), packed[1].tobytes()],
-                        pa.binary()),
-    }))
-    pairs = rd.from_arrow(pa.table({
-        "src": pa.array([1], pa.uint64()),
-        "dst": pa.array([2], pa.uint64()),
-    }))
-    with pytest.raises(Exception, match="sig_store='u4'"):
-        verify_pairs(pairs, sigs, minhash=cfg, strategy="join",
-                     compare="full").to_pandas()

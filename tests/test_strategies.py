@@ -1,7 +1,7 @@
 """Cross-strategy equivalence: every alternative execution path must
 produce identical results to its default counterpart on the same input.
 
-- verify_pairs: broadcast (small-corpus) vs join (10^12-doc path)
+- verify_pairs: broadcast (small-corpus) vs cogroup (10^12-doc path)
 - candidate generation: sharded index vs a driver-side brute-force star
   pair set over the same band rows
 - connected components: driver union-find vs distributed label propagation
@@ -31,30 +31,27 @@ def _pairs_set(df: pd.DataFrame, cols=("src", "dst")) -> set[tuple[int, int]]:
     )
 
 
-def test_verify_join_equals_broadcast(pages_small):
+def test_verify_join_equals_broadcast(pages_small, force_cogroup):
+    """Both routes of the pair gather compare the same uint16 folds, so
+    edges AND jaccard estimates are identical."""
     cfg = MinHashConfig()
     sigs = minhash_signatures(
         rd.from_arrow(pages_small.pages), minhash=cfg
     ).materialize()
     pairs = candidate_pairs_index(sigs, minhash=cfg).materialize()
-    bc = verify_pairs(pairs, sigs, minhash=cfg, strategy="broadcast").to_pandas()
-    jn = verify_pairs(pairs, sigs, minhash=cfg, strategy="join").to_pandas()
+    bc = verify_pairs(pairs, sigs, minhash=cfg).to_pandas()
+    calls = force_cogroup()
+    jn = verify_pairs(pairs, sigs, minhash=cfg).to_pandas()
+    assert calls["pair"] == 2
     assert _pairs_set(bc) == _pairs_set(jn)
     assert len(bc) > 0
-    # jaccard estimates agree within the documented uint16-fold bias of the
-    # broadcast path (<= +1/65536 false-match rate per component — in
-    # practice at most a component or two per signature differ)
-    jb = {
-        (int(s), int(d)): j
-        for s, d, j in zip(bc.src.astype(np.uint64), bc.dst.astype(np.uint64), bc.jaccard)
-    }
-    jj = {
-        (int(s), int(d)): j
-        for s, d, j in zip(jn.src.astype(np.uint64), jn.dst.astype(np.uint64), jn.jaccard)
-    }
-    cfg_perm = cfg.num_perm
-    for k in jb:
-        assert abs(jb[k] - jj[k]) <= 4 / cfg_perm + 1e-12
+
+    def scores(df):
+        return {(int(s), int(d)): j for s, d, j in
+                zip(df.src.astype(np.uint64), df.dst.astype(np.uint64),
+                    df.jaccard)}
+
+    assert scores(bc) == scores(jn)
 
 
 def test_index_candidates_equal_bruteforce(pages_small):

@@ -56,14 +56,14 @@ def test_dedup_tiers_partitioning_invariant(ray_session):
 
 def test_dedup_tiers_shuffle_fallback_matches_broadcast(ray_session,
                                                          force_cogroup):
-    """joins.BROADCAST_ROWS = 0 forces the survivor anti-join, the near
-    tier's cluster assignment and the near-label overlay onto their
-    cogroup routes; labels must be identical to the broadcast routes."""
+    """The forced cogroup routes (survivor anti-join, the near tier's
+    pair verify, cluster assignment and near-label overlay) give labels
+    identical to the broadcast routes."""
     cfg = DedupConfig(id_col="doc_id", text_col="text")
     a = dedup_tiers(rd.from_arrow(_corpus()), cfg).to_pandas()
     calls = force_cogroup()
     b = dedup_tiers(rd.from_arrow(_corpus()), cfg).to_pandas()
-    assert calls == {"membership": 2, "lookup": 1}
+    assert calls == {"membership": 2, "lookup": 1, "pair": 2}
     assert dict(zip(a.doc_id, a.tier)) == dict(zip(b.doc_id, b.tier))
 
 
