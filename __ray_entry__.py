@@ -1983,8 +1983,10 @@ def _q_multimodal_consensus(sf_dir: str):
     pipelines; ONE (doc, cluster) groupby of 16-byte vote rows. All
     three modalities derive from the same text prefix in the synthetic
     corpus, so the oracle is the same min-per-prefix statement."""
-    import pandas as pd
     import pyarrow as _pa
+    import pyarrow.compute as _pc
+
+    from dupers_ray.functions.grouping import keyed_partition_map_groups
 
     def votes(ds):
         return ds.map_batches(
@@ -2001,17 +2003,22 @@ def _q_multimodal_consensus(sf_dir: str):
                votes(_q_video_dup_clusters(sf_dir)))
     )
 
-    def consensus(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g.groupby(["doc_id", "cluster_id"], sort=False).size()
-        out = []
-        for doc, sub in cnt.groupby(level=0, sort=False):
-            agreed = sub[sub >= 2]
-            c = (int(agreed.index.get_level_values(1).min())
-                 if len(agreed) else int(doc))
-            out.append((int(doc), c))
-        return pd.DataFrame(out, columns=["doc_id", "cluster_id"])
+    def consensus(g: "_pa.Table") -> "_pa.Table":
+        # per doc: the min cluster that >= 2 modalities agree on, else
+        # the doc itself
+        cnt = g.group_by(["doc_id", "cluster_id"]).aggregate(
+            [([], "count_all")])
+        agreed = cnt.filter(_pc.greater_equal(cnt.column("count_all"), 2)) \
+            .group_by("doc_id").aggregate([("cluster_id", "min")])
+        docs = _pa.table({"doc_id": _pc.unique(g.column("doc_id"))}).join(
+            agreed, "doc_id")
+        return _pa.table({
+            "doc_id": docs.column("doc_id"),
+            "cluster_id": _pc.coalesce(docs.column("cluster_id_min"),
+                                       docs.column("doc_id")),
+        })
 
-    return allv.groupby("doc_id").map_groups(consensus, batch_format="pandas")
+    return keyed_partition_map_groups(allv, "doc_id", consensus)
 
 
 def _q_dsir_weights(sf_dir: str):

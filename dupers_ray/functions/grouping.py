@@ -15,6 +15,12 @@ Three layers share ONE block-layout rule:
 - :func:`cogroup` — two datasets co-grouped on a key: ``fn(l, r)`` gets
   both sides' rows of every key hashed to a partition.
 
+Group functions are Arrow-only: every ``fn`` takes a ``pa.Table`` and
+returns a ``pa.Table`` whose schema does not depend on the data — typed
+also when it has 0 rows (a partition with no pairs, no duplicates, no
+survivors). One output schema per operator keeps block concatenation,
+unions and ``to_arrow_refs`` consumers independent of block layout.
+
 The exchange is Ray's sort-based groupby on an int key; the hash
 partitioner is :func:`_partition_ids` (the vectorized string hash for
 string columns, one 64-bit mix for everything else). ``repartition(
@@ -38,7 +44,6 @@ sort's per-block scheduling cost, which does not depend on data size.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -47,6 +52,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 
 from dupers_ray.functions.hashing import hash_str_keys, splitmix64
+from dupers_ray.functions.pairs import run_starts
 
 DEFAULT_GROUP_PARTITIONS = 256
 
@@ -69,45 +75,15 @@ def coalesced_map_groups(
     fn,
     *,
     num_keys: int,
-    batch_format: str = "pandas",
-    fn_kwargs: dict | None = None,
 ) -> "ray.data.Dataset":
     """``ds.groupby(key).map_groups(fn)`` after coalescing ``ds`` under
     the module's layout rule. ``num_keys``: the (approximate) distinct-key
     cardinality. ``fn`` is called once per key value."""
-    if batch_format == "pandas":
-        fn = _arrow_output(fn)
     return (
         ds.repartition(_num_blocks(num_keys))
         .groupby(key)
-        .map_groups(fn, batch_format=batch_format, fn_kwargs=fn_kwargs)
+        .map_groups(fn, batch_format="pyarrow")
     )
-
-
-def _arrow_type(dtype) -> pa.DataType:
-    """Arrow type of a pandas column dtype; object columns are string
-    (the engine's object columns are string ids)."""
-    if dtype is object or dtype == np.dtype("O"):
-        return pa.string()
-    return pa.Array.from_pandas(pd.Series([], dtype=dtype)).type
-
-
-def _arrow_output(fn):
-    """``fn`` with a pandas result returned as an Arrow table, typed even
-    with 0 rows. Every output block of a pandas group map is then Arrow:
-    Ray's pandas block size estimate cannot size 0-row object or string
-    columns (it logs an error per block), and ``to_arrow_refs`` hands back
-    unconverted pandas blocks when a Dataset's first block is Arrow."""
-    def wrapped(df, *args, **kwargs):
-        out = fn(df, *args, **kwargs)
-        if not isinstance(out, pd.DataFrame):
-            return out
-        if len(out):
-            return BlockAccessor.for_block(out).to_arrow()
-        return pa.table({str(c): pa.array([], _arrow_type(out[c].dtype))
-                         for c in out.columns})
-
-    return wrapped
 
 
 def _key_u64(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -146,11 +122,10 @@ def keyed_partition_map_groups(
     fn,
     *,
     num_partitions: int = DEFAULT_GROUP_PARTITIONS,
-    batch_format: str = "pandas",
 ) -> "ray.data.Dataset":
     """Replacement for ``ds.groupby(key_col).map_groups(fn)`` over an
     unbounded key (one column or a list of columns). ``fn`` receives one
-    frame per partition holding EVERY row of each key hashed there and
+    table per partition holding EVERY row of each key hashed there and
     must reduce per key itself; the partition column is dropped before
     ``fn`` sees the rows."""
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
@@ -160,17 +135,36 @@ def keyed_partition_map_groups(
             _PART, pa.array(_partition_ids(t, keys, num_partitions))
         )
 
-    if batch_format == "pandas":
-        def wrapped(df):
-            return fn(df.drop(columns=_PART))
-    else:
-        def wrapped(g: pa.Table) -> pa.Table:
-            return fn(g.drop_columns([_PART]))
+    def wrapped(g: pa.Table) -> pa.Table:
+        return fn(g.drop_columns([_PART]))
 
     return coalesced_map_groups(
         ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True),
-        _PART, wrapped, num_keys=num_partitions, batch_format=batch_format,
+        _PART, wrapped, num_keys=num_partitions,
     )
+
+
+def key_codes(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+    """One int code per row of ``col``: rows with equal values share a
+    code, and every null row shares one code of its own."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return pc.dictionary_encode(col, null_encoding="encode").indices \
+        .to_numpy()
+
+
+def head_per_key(
+    t: pa.Table, key: str, order: "list[tuple[str, str]]", n: int
+) -> pa.Table:
+    """The first ``n`` rows of every ``key`` value of ``t`` under
+    ``order`` (``Table.sort_by`` keys; end it with a unique column for a
+    deterministic cut), sorted by (key, order). A null key is its own
+    group."""
+    t = t.sort_by([(key, "ascending"), *order])
+    new = run_starts(key_codes(t.column(key)))
+    starts = np.flatnonzero(new)
+    rank = np.arange(t.num_rows) - starts[np.cumsum(new) - 1]
+    return t.filter(pa.array(rank < n))
 
 
 def arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
@@ -180,9 +174,9 @@ def arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
     Read from the first non-empty block, not ``Dataset.schema()``: Ray
     reports a ``select_columns`` projection's INPUT schema when its first
     output bundle is an empty block passed through unprojected. Only an
-    all-empty Dataset falls back to ``schema()``, whose pandas-block
-    numpy dtypes / Python classes map through pandas (one empty Series
-    per column)."""
+    all-empty Dataset falls back to ``schema()``, which must then hold
+    Arrow types: a numpy dtype or Python class there names no Arrow type,
+    so it raises instead of guessing one."""
     rows = [ref for bundle in ds.limit(1).iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows]
     if rows:
@@ -190,10 +184,27 @@ def arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
     s = ds.schema()
     if s is None:
         return pa.schema([])
-    return pa.schema([
-        (name, typ if isinstance(typ, pa.DataType) else _arrow_type(typ))
-        for name, typ in zip(s.names, s.types)
-    ])
+    bad = [n for n, t in zip(s.names, s.types)
+           if not isinstance(t, pa.DataType)]
+    if bad:
+        raise TypeError(f"arrow_schema: columns {bad} have no Arrow type "
+                        f"({s})")
+    return pa.schema(list(zip(s.names, s.types)))
+
+
+def to_arrow_table(ds: "ray.data.Dataset") -> pa.Table:
+    """Every row of ``ds`` as one driver-side Arrow table. Each block is
+    converted on its own (``to_arrow_refs`` hands non-Arrow blocks back
+    unconverted when the first block is Arrow), and schema-less empty
+    blocks are dropped. An all-empty Dataset gives a 0-row table of
+    null-typed columns named after its schema."""
+    blocks = [BlockAccessor.for_block(b).to_arrow()
+              for b in ray.get(ds.to_arrow_refs())]
+    blocks = [b for b in blocks if b.num_columns]
+    if blocks:
+        return pa.concat_tables(blocks, promote_options="permissive")
+    s = ds.schema()
+    return pa.table({c: pa.nulls(0) for c in (s.names if s else [])})
 
 
 def cogroup(
@@ -215,7 +226,7 @@ def cogroup(
 
     Both sides are tagged and padded with TYPED nulls for the other
     side's columns so one union carries them; ``fn`` works in pure Arrow
-    (a pandas hop would coerce null-padded int columns to float64 and
+    (a DataFrame hop would coerce null-padded int columns to float64 and
     corrupt ids above 2^53). Pass the schemas when known: ``.schema()``
     on a lazy Dataset executes its sub-DAG."""
     right_on = right_on or on
@@ -259,9 +270,7 @@ def cogroup(
         return fn(lg, rg)
 
     return keyed_partition_map_groups(
-        both, on, per_part, num_partitions=num_partitions,
-        batch_format="pyarrow",
-    )
+        both, on, per_part, num_partitions=num_partitions)
 
 
 def partitioned_aggregate(
@@ -279,7 +288,7 @@ def partitioned_aggregate(
     UNBOUNDED key cardinality: Ray's aggregate is a sort-based AllToAll
     over every partial row (measured 111 s -> 5.6 s on 13M chunk rows,
     round-3 verdict #6); this hash-partitions on the key and reduces
-    each partition with one pandas C-speed hash groupby. Column names
+    each partition with one Arrow hash ``group_by().aggregate``. Column names
     pass through unchanged (no ``sum(x)`` renames). With
     ``having_sum_ge``, rows where ``having_col``'s global sum is below
     the bound are dropped IN-partition — the reduction output leaves the
@@ -291,21 +300,22 @@ def partitioned_aggregate(
             "partitioned_aggregate: sums/mins/maxs column sets must be "
             f"pairwise disjoint, got sums={sums} mins={mins} maxs={maxs}"
         )
-    agg_map = {c: "sum" for c in sums}
-    agg_map.update({c: "min" for c in mins})
-    agg_map.update({c: "max" for c in maxs})
+    funcs = ["sum"] * len(sums) + ["min"] * len(mins) + ["max"] * len(maxs)
 
-    def reduce_part(df):
-        # dropna=False: a null key is a real group (SQL GROUP BY / Ray
-        # aggregate parity) — pandas' default silently deletes those rows
-        out = df.groupby(
-            key_col, sort=False, as_index=False, dropna=False
-        ).agg(agg_map)
+    def reduce_part(t: pa.Table) -> pa.Table:
+        # min_count=0: a group whose values are all null sums to 0, not
+        # null (Arrow's default); null keys form their own group. The
+        # options are built here because they do not pickle.
+        total = pc.ScalarAggregateOptions(min_count=0)
+        out = t.group_by(key_col).aggregate([
+            (c, f, total) if f == "sum" else (c, f)
+            for c, f in zip(specs, funcs)])
+        out = out.select([key_col, *(f"{c}_{f}" for c, f in zip(specs, funcs))])
+        out = out.rename_columns([key_col, *specs])
         if having_sum_ge is not None:
-            out = out[out[having_col] >= having_sum_ge]
+            out = out.filter(pc.greater_equal(out.column(having_col),
+                                              having_sum_ge))
         return out
 
     return keyed_partition_map_groups(
-        ds, key_col, reduce_part,
-        num_partitions=num_partitions, batch_format="pandas",
-    )
+        ds, key_col, reduce_part, num_partitions=num_partitions)

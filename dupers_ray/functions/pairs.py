@@ -64,3 +64,30 @@ def unique_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = a[order], b[order]
     keep = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
     return a[keep], b[keep]
+
+
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Boolean mask over rows sorted by the parallel ``keys`` arrays: True
+    where a row starts a new run of equal key tuples."""
+    new = np.zeros(len(keys[0]), bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return new
+
+
+def min_per_key(keys: "list[np.ndarray]", ids: np.ndarray) -> np.ndarray:
+    """Per row, the index of the row with the least ``ids`` value among
+    the rows sharing its key tuple (``keys`` are parallel arrays; equal
+    ids keep the earlier row). The one min-id reduction behind keep-first
+    dedup (exact_dedup, diff, tiers, venn) and first-capture lookup
+    (urls): ``ids[min_per_key(keys, ids)]`` is SQL's ``min(id) OVER
+    (PARTITION BY keys)``. Keys and ids must hold no nulls."""
+    n = len(ids)
+    if not n:
+        return np.empty(0, np.int64)
+    order = np.lexsort((ids, *keys[::-1]))
+    new = run_starts(*(k[order] for k in keys))
+    out = np.empty(n, np.int64)
+    out[order] = order[new][np.cumsum(new) - 1]
+    return out

@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
@@ -198,7 +197,6 @@ def components_distributed(
     *,
     num_partitions: int = 64,
     max_rounds: int = 30,
-    on_nonconverged: str = "raise",
 ) -> "ray.data.Dataset":
     """Alternating large-star / small-star connected components (Kiveris
     et al., SoCC 2014): provably converges in O(log^2 n) rounds regardless
@@ -210,9 +208,9 @@ def components_distributed(
     ~2^-64), after which the edge set is a star per component: (node,
     component-min) rows.
 
-    Exiting non-converged is an ERROR by default (silently wrong clusters
-    are worse than a late failure); pass on_nonconverged="warn" to keep
-    the partial star edges."""
+    Exiting non-converged is an ERROR: the partial star edges would split
+    components, and silently wrong clusters are worse than a late
+    failure."""
     # canonical node set (keeps self-loop-only / isolated-in-E nodes alive
     # for the final assignment)
     def explode(t: pa.Table) -> pa.Table:
@@ -222,7 +220,7 @@ def components_distributed(
 
     def by_u(ds, fn):
         return keyed_partition_map_groups(
-            ds, "u", fn, num_partitions=num_partitions, batch_format="pyarrow"
+            ds, "u", fn, num_partitions=num_partitions
         )
 
     nodes = _sever(by_u(
@@ -261,14 +259,11 @@ def components_distributed(
             break
         prev = cur
 
-    if not converged and prev is not None and prev[0] > 0:
-        msg = (f"components_distributed did not converge in {max_rounds} "
-               f"rounds — results would split components; raise max_rounds")
-        if on_nonconverged == "raise":
-            ray.kill(stats)
-            raise RuntimeError(msg)
-        logger.warning(msg)
     ray.kill(stats)
+    if not converged and prev is not None and prev[0] > 0:
+        raise RuntimeError(
+            f"components_distributed did not converge in {max_rounds} "
+            f"rounds — results would split components; raise max_rounds")
 
     # star edges are (child, root); union with (node, node) self-rows and
     # take the min per node so roots and isolated nodes label themselves

@@ -528,7 +528,7 @@ def _near_decontaminate_join(
     """Shuffle path of :func:`near_decontaminate` — see its docstring."""
     import dataclasses
 
-    import pandas as pd
+    import pyarrow.compute as pc
 
     from dupers_ray.functions.hashing import node_ids
     from dupers_ray.pipelines.near_dedup import (
@@ -564,20 +564,17 @@ def _near_decontaminate_join(
         band_rows(1), batch_format="pyarrow", zero_copy_batch=True
     ))
 
-    def cross(g: pd.DataFrame) -> pd.DataFrame:
-        c = g[g["side"] == 0][["band_hash", "node"]]
-        b = g[g["side"] == 1][["band_hash", "node"]]
-        if not len(c) or not len(b):
-            return pd.DataFrame({
-                "src": pd.Series([], dtype="uint64"),
-                "dst": pd.Series([], dtype="uint64"),
-            })
-        m = c.merge(b, on="band_hash")  # vectorized per-bucket cross join
-        out = m[["node_x", "node_y"]].drop_duplicates()
-        return pd.DataFrame({
-            "src": out["node_x"].to_numpy(dtype=np.uint64),
-            "dst": out["node_y"].to_numpy(dtype=np.uint64),
-        })
+    def cross(g: pa.Table) -> pa.Table:
+        is_b = pc.equal(g.column("side"), 1)
+
+        def end(mask, name: str) -> pa.Table:
+            return g.filter(mask).select(["band_hash", "node"]).rename_columns(
+                ["band_hash", name])
+
+        # per-bucket cross join, then the distinct pairs
+        m = end(pc.invert(is_b), "src").join(end(is_b, "dst"), "band_hash",
+                                              join_type="inner")
+        return m.select(["src", "dst"]).group_by(["src", "dst"]).aggregate([])
 
     pairs = keyed_partition_map_groups(
         both, "band_hash", cross, num_partitions=num_partitions

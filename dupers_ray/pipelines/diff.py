@@ -16,12 +16,12 @@ side, so the id column never null-pads)."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
 
 from dupers_ray.functions.grouping import cogroup, keyed_partition_map_groups
+from dupers_ray.functions.pairs import min_per_key
 from dupers_ray.stages.digest import add_digests, drop_empty
 
 _PARTITIONS = 128
@@ -91,7 +91,7 @@ def exact_assign(
     content-equal docs; EMPTY/null content rows are singletons (their
     own id) — matching the normalized-dedup convention that empty
     normalizations never merge.  Same digest-prefix partition machinery
-    as exact_dedup (one narrow shuffle, vectorized transform('min') per
+    as exact_dedup (one narrow shuffle, one vectorized min-id reduce per
     partition).  Output: (id_col, cluster:int64)."""
     import pyarrow.compute as pc
 
@@ -122,15 +122,10 @@ def exact_assign(
         content_col=content_col,
     ).select_columns([id_col, "digest", "digest_u64"])
 
-    def assign(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({id_col: pd.Series(dtype="int64"),
-                                 "cluster": pd.Series(dtype="int64")})
-        canon = g.groupby("digest", sort=False)[id_col].transform("min")
-        return pd.DataFrame({
-            id_col: g[id_col].astype("int64").to_numpy(),
-            "cluster": canon.astype("int64").to_numpy(),
-        })
+    def assign(g: pa.Table) -> pa.Table:
+        ids = g.column(id_col).cast(pa.int64())
+        canon = min_per_key([g.column("digest").to_numpy()], ids.to_numpy())
+        return pa.table({id_col: ids, "cluster": ids.take(canon)})
 
     assigned = keyed_partition_map_groups(
         full, "digest_u64", assign, num_partitions=DEFAULT_PARTITIONS)

@@ -21,54 +21,49 @@ from __future__ import annotations
 
 from functools import partial
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
 
 import ray.data
 
-from dupers_ray.functions.grouping import keyed_partition_map_groups
+from dupers_ray.functions.grouping import key_codes, keyed_partition_map_groups
+from dupers_ray.functions.pairs import min_per_key
 from dupers_ray.stages.digest import digest_dataset
 
 # Coarse shuffle-partition count: groups are resolved per PARTITION (the
-# group fns sub-group by full digest with a vectorized pandas groupby), so
+# group fns sub-group by full digest with a vectorized segment reduce), so
 # Ray never pays a per-distinct-digest map_groups call — at 10^12 docs a
 # per-digest callback would mean 10^12 Python invocations.
 DEFAULT_PARTITIONS = 256
 
 
-def _group_pairs(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
+def _group_pairs(g: pa.Table, id_col: str) -> pa.Table:
     """Within one digest_u64 partition: split by full digest, emit
     (canonical, dup) pairs for groups of size >= 2. Output columns are
     ``(id_col, match_<id_col>)`` — e.g. (url, match_url).
 
-    Fully vectorized (transform('min') + boolean mask): no per-distinct-
+    Fully vectorized (one min-id segment reduction): no per-distinct-
     digest Python iteration — at 10^12 docs a per-group loop would be the
     exact failure mode this file's header rules out."""
-    canon = g.groupby("digest", sort=False)[id_col].transform("min")
-    mask = (g[id_col] != canon).to_numpy()
-    dt = g[id_col].dtype  # keep schema stable even when a group emits 0 pairs
-    return pd.DataFrame(
-        {
-            id_col: pd.Series(canon.to_numpy()[mask], dtype=dt),
-            f"match_{id_col}": pd.Series(g[id_col].to_numpy()[mask], dtype=dt),
-        }
-    )
+    ids = g.column(id_col)
+    v = ids.to_numpy()
+    canon = min_per_key([g.column("digest").to_numpy()], v)
+    mask = v != v[canon]
+    return pa.table({id_col: ids.take(canon[mask]),
+                     f"match_{id_col}": ids.filter(mask)})
 
 
-def _group_canonical(g: pd.DataFrame, id_col: str, keep_cols: list[str]) -> pd.DataFrame:
-    """Within one digest_u64 partition: one row per full digest, id = min.
-    Vectorized: stable sort by id + drop_duplicates keeps the min-id row per
-    digest; group sizes come from one value_counts — no per-group loop."""
-    if not len(g):
-        return g[[id_col, "digest", *keep_cols]].assign(
-            n_dups=pd.Series([], dtype="int64")
-        )[[id_col, "digest", "n_dups", *keep_cols]]
-    sizes = g["digest"].value_counts(sort=False)
-    firsts = g.sort_values(id_col, kind="mergesort").drop_duplicates(
-        "digest", keep="first"
-    )
-    out = firsts[[id_col, "digest", *keep_cols]].copy()
-    out.insert(2, "n_dups", firsts["digest"].map(sizes).astype("int64").to_numpy())
-    return out[[id_col, "digest", "n_dups", *keep_cols]]
+def _group_canonical(g: pa.Table, id_col: str, keep_cols: list[str]) -> pa.Table:
+    """Within one digest_u64 partition: one row per full digest, id = min,
+    with the digest's group size — the min-id row indices and their
+    multiplicities, no per-group loop."""
+    canon = min_per_key([g.column("digest").to_numpy()],
+                        g.column(id_col).to_numpy())
+    rows, n = np.unique(canon, return_counts=True)
+    out = g.take(rows)
+    return pa.table({id_col: out.column(id_col), "digest": out.column("digest"),
+                     "n_dups": pa.array(n.astype(np.int64)),
+                     **{c: out.column(c) for c in keep_cols}})
 
 
 def exact_dupe_pairs(
@@ -125,23 +120,15 @@ def soft_dedup_weights(
 
     Same ONE-shuffle shape as :func:`exact_dupe_pairs`: only (id,
     digest_u64-part, digest) rows move — never text — and the per-
-    partition transform('size') is fully vectorized."""
+    partition group-size count is fully vectorized."""
 
-    def _group_weights(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                "n_dups": pd.Series([], dtype="int64"),
-                "weight": pd.Series([], dtype="float64"),
-            })
-        sizes = (
-            g.groupby("digest", sort=False)[id_col]
-            .transform("size").astype("int64")
-        )
-        return pd.DataFrame({
-            id_col: g[id_col],
-            "n_dups": sizes,
-            "weight": 1.0 / sizes,
+    def _group_weights(g: pa.Table) -> pa.Table:
+        codes = key_codes(g.column("digest"))
+        sizes = np.bincount(codes, minlength=1)[codes].astype(np.int64)
+        return pa.table({
+            id_col: g.column(id_col),
+            "n_dups": pa.array(sizes),
+            "weight": pa.array(1.0 / sizes),
         })
 
     if not has_digests:

@@ -39,9 +39,8 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.block import BlockAccessor
 
-from dupers_ray.functions.grouping import arrow_schema, cogroup
+from dupers_ray.functions.grouping import arrow_schema, cogroup, to_arrow_table
 from dupers_ray.functions.hashing import hash_str_keys
 
 # Row limits of the broadcast routes: key sets for small_side, payload
@@ -118,16 +117,10 @@ def _pull_if_small(right, columns, limit: int):
     ds = (right.select_columns(columns) if columns else right).materialize()
     if ds.count() > limit:
         return None, ds
-    # to_arrow_refs passes pandas blocks through unconverted when the
-    # first block is Arrow; empty blocks may come back schema-less
-    blocks = [BlockAccessor.for_block(b).to_arrow()
-              for b in ray.get(ds.to_arrow_refs())]
-    blocks = [b for b in blocks if b.num_columns]
-    if blocks:
-        return pa.concat_tables(blocks, promote_options="permissive"), None
-    # an all-empty Dataset can lose its schema: no key, nothing matches
-    names = columns or (ds.schema().names if ds.schema() else [])
-    return pa.table({c: pa.nulls(0) for c in names}), None
+    t = to_arrow_table(ds)
+    if not t.num_columns:  # an all-empty Dataset can lose its schema
+        t = pa.table({c: pa.nulls(0) for c in columns or []})
+    return t, None
 
 
 def _is_str(t: pa.DataType) -> bool:

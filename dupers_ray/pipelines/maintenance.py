@@ -20,7 +20,6 @@ hash-partitioned co-group — both routes share semantics and tests.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -207,24 +206,22 @@ def latest_per_key(
     (vectorized sort + group-tail), so the groupby shuffles at most
     keys x blocks rows, never the corpus; the resolve is the same
     kernel per group. Output columns: (key, order, tie)."""
-    cols = [key_col, order_col, tie_col]
+    from dupers_ray.functions.grouping import (
+        head_per_key,
+        keyed_partition_map_groups,
+    )
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = t.select(cols).to_pandas().sort_values(cols)
-        out = df.groupby(key_col, sort=False).tail(1)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        # partition-wise (bounded fan-out): newest row per key WITHIN
-        # the key-hash partition — keys co-locate, so globally exact
-        return df.sort_values(cols).groupby(key_col, sort=False).tail(1)
-
-    from dupers_ray.functions.grouping import keyed_partition_map_groups
+    def newest(t: pa.Table) -> pa.Table:
+        # per batch, then per key-hash partition (keys co-locate there,
+        # so the second pass is globally exact)
+        return head_per_key(t.select([key_col, order_col, tie_col]), key_col,
+                            [(order_col, "descending"),
+                             (tie_col, "descending")], 1)
 
     parts = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
+        newest, batch_format="pyarrow", zero_copy_batch=True
     )
-    return keyed_partition_map_groups(parts, key_col, resolve)
+    return keyed_partition_map_groups(parts, key_col, newest)
 
 
 def rename_bucket(ds: "ray.data.Dataset", old: str, new: str,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -166,11 +165,8 @@ def _distinct_pairs(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
     """Globally distinct (src, dst) rows: ONE groupby on a pair-hash
     partition. The bucket index removes cross-band duplicates only within
     a shard, so a consumer that counts pairs needs this extra pass."""
-    def first_per_pair(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.drop_duplicates(subset=["src", "dst"])[["src", "dst"]]
-            .reset_index(drop=True)
-        )
+    def first_per_pair(g: pa.Table) -> pa.Table:
+        return g.group_by(["src", "dst"]).aggregate([])
 
     return keyed_partition_map_groups(pairs, ["src", "dst"], first_per_pair)
 
@@ -555,9 +551,9 @@ def windowed_near_pairs(
             zero_copy_batch=True,
         ),
         ["band", "bh", "cell"], cell_pairs,
-        num_partitions=n_parts, batch_format="pyarrow",
+        num_partitions=n_parts,
     )
     return keyed_partition_map_groups(
         cells, ["src", "dst"], dedup,
-        num_partitions=n_parts, batch_format="pyarrow",
+        num_partitions=n_parts,
     )

@@ -19,32 +19,29 @@ Pair math: within one source C(n,2), across two sources n_a * n_b.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from dupers_ray.functions.grouping import keyed_partition_map_groups
+from dupers_ray.functions.pairs import run_starts
 from dupers_ray.stages.digest import add_digests, drop_empty
 
 _PARTITIONS = 256
 
 
-def _pair_rows(df: pd.DataFrame, group_col: str,
-               key_col: str = "digest") -> pd.DataFrame:
-    """All (i <= j) source pairs per key segment, vectorized.
-    ``df`` holds fully-combined (key, source, n) rows; rows are sorted
-    by (key, source) so emitted pairs satisfy source_a <= source_b
-    (lexicographic — the SQL oracle's comparison)."""
-    if not len(df):
-        return pd.DataFrame({"source_a": pd.Series([], dtype=object),
-                             "source_b": pd.Series([], dtype=object),
-                             "n_pairs": pd.Series([], dtype="int64")})
-    dg = df[key_col].to_numpy()
-    src = df[group_col].to_numpy()
-    cnt = df["n"].to_numpy(dtype=np.int64)
-    m = len(dg)
-    new = np.r_[True, dg[1:] != dg[:-1]]
+def _pair_rows(t: pa.Table, group_col: str,
+               key_col: str = "digest") -> pa.Table:
+    """All (i <= j) source pairs per key segment, vectorized, summed per
+    (source_a, source_b). ``t`` holds fully-combined (key, source, n)
+    rows; they are sorted by (key, source) here so emitted pairs satisfy
+    source_a <= source_b (lexicographic — the SQL oracle's comparison)."""
+    t = t.sort_by([(key_col, "ascending"), (group_col, "ascending")])
+    src = t.column(group_col)
+    cnt = t.column("n").to_numpy().astype(np.int64)
+    m = t.num_rows
+    new = run_starts(t.column(key_col).to_numpy())
     seg = np.cumsum(new) - 1
     starts = np.flatnonzero(new)
     sizes = np.diff(np.r_[starts, m])
@@ -58,12 +55,17 @@ def _pair_rows(df: pd.DataFrame, group_col: str,
                  cnt[left] * (cnt[left] - 1) // 2,
                  cnt[left] * cnt[right])
     keep = n > 0
-    out = pd.DataFrame({"source_a": src[left[keep]],
-                        "source_b": src[right[keep]],
-                        "n_pairs": n[keep]})
+    out = pa.table({"source_a": src.take(left[keep]),
+                    "source_b": src.take(right[keep]),
+                    "n_pairs": n[keep]})
     # per-partition combiner: collapse repeated pairs before the shuffle
-    return (out.groupby(["source_a", "source_b"], sort=False)["n_pairs"]
-               .sum().reset_index())
+    return _sum_by(out, ["source_a", "source_b"], "n_pairs")
+
+
+def _sum_by(t: pa.Table, keys: "list[str]", col: str) -> pa.Table:
+    """``t`` grouped by ``keys`` with ``col`` summed, as (keys..., col)."""
+    out = t.group_by(keys).aggregate([(col, "sum")])
+    return out.select([*keys, f"{col}_sum"]).rename_columns([*keys, col])
 
 
 def source_overlap(
@@ -81,8 +83,6 @@ def source_overlap(
     def combine(t: pa.Table) -> pa.Table:
         t = drop_empty(t, content_col=content_col)
         if trunc is not None:
-            import pyarrow.compute as pc
-
             t = t.set_column(
                 t.schema.get_field_index(content_col), content_col,
                 pc.utf8_slice_codeunits(t.column(content_col), 0, trunc),
@@ -99,12 +99,10 @@ def source_overlap(
         combine, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
+    def per_part(g: pa.Table) -> pa.Table:
         # fold cross-batch partials for this digest-hash partition, then
         # one vectorized pair expansion over the sorted runs
-        agg = (g.groupby(["digest", group_col], sort=True)["n"]
-                .sum().reset_index())
-        return _pair_rows(agg, group_col)
+        return _pair_rows(_sum_by(g, ["digest", group_col], "n"), group_col)
 
     pair_parts = keyed_partition_map_groups(
         parts, "digest_u64", per_part, num_partitions=_PARTITIONS
@@ -174,10 +172,9 @@ def near_source_overlap(
         combine, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (g.groupby(["cluster", group_col], sort=True)["n"]
-                .sum().reset_index())
-        return _pair_rows(agg, group_col, key_col="cluster")
+    def per_part(g: pa.Table) -> pa.Table:
+        return _pair_rows(_sum_by(g, ["cluster", group_col], "n"), group_col,
+                          key_col="cluster")
 
     pair_parts = keyed_partition_map_groups(
         parts, "cluster", per_part, num_partitions=_PARTITIONS
@@ -236,47 +233,36 @@ def mirror_hosts(
         combine, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
+    def per_part(g: pa.Table) -> pa.Table:
         # global distinct for this digest partition (cross-batch copies)
-        g = g.drop_duplicates(["digest", host_col])
-        sizes = g.groupby(host_col, sort=False).size()
-        size_rows = pd.DataFrame({
-            "host_a": sizes.index.to_numpy(dtype=object),
-            "host_b": "",  # sentinel: per-host set-size partial
-            "n": sizes.to_numpy(np.int64),
+        g = g.group_by(["digest", host_col]).aggregate([]).sort_by(
+            [("digest", "ascending"), (host_col, "ascending")])
+        sizes = g.group_by(host_col).aggregate([([], "count_all")])
+        size_rows = pa.table({
+            "host_a": sizes.column(host_col),
+            "host_b": pa.array([""] * sizes.num_rows, pa.string()),
+            "n": sizes.column("count_all"),
         })
-        g = g.sort_values(["digest", host_col], kind="mergesort")
-        dg = g["digest"].to_numpy()
-        new = np.r_[True, dg[1:] != dg[:-1]] if len(dg) else np.array([], bool)
+        new = run_starts(g.column("digest").to_numpy())
         seg = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
-        sizes_seg = np.diff(np.r_[starts, len(dg)])
+        sizes_seg = np.diff(np.r_[starts, g.num_rows])
         hot = sizes_seg > max_hosts_per_digest
         if hot.any():
             logger.warning(
                 "mirror_hosts: %d hot digests capped at %d hosts (max %d)",
                 int(hot.sum()), max_hosts_per_digest, int(sizes_seg.max()),
             )
-            rank = np.arange(len(dg)) - starts[seg]
-            keepm = rank < max_hosts_per_digest
-            g = g.iloc[keepm]
+            rank = np.arange(g.num_rows) - starts[seg]
+            g = g.filter(pa.array(rank < max_hosts_per_digest))
         pairs = _pair_rows(
-            g.assign(n=np.ones(len(g), np.int64)), host_col
-        ).rename(columns={"source_a": "host_a", "source_b": "host_b",
-                          "n_pairs": "n"})
-        return pd.concat([size_rows, pairs], ignore_index=True)
+            g.append_column("n", pa.array(np.ones(g.num_rows, np.int64))),
+            host_col,
+        ).rename_columns(["host_a", "host_b", "n"])
+        return pa.concat_tables([size_rows, pairs])
 
-    def fold_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({
-                "host_a": pd.Series([], dtype=object),
-                "host_b": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-            })
-        return (
-            g.groupby(["host_a", "host_b"], sort=False)["n"]
-            .sum().reset_index()
-        )
+    def fold_pairs(g: pa.Table) -> pa.Table:
+        return _sum_by(g, ["host_a", "host_b"], "n")
 
     # the pair fold partitions on the int hash of (host_a, host_b): Ray
     # groupby on STRING keys is a global sort (measured 27.6 s -> ~7 s at
@@ -295,8 +281,6 @@ def mirror_hosts(
     sref = ray.put(sizes)
 
     def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         t = t.filter(pc.not_equal(t.column("host_b"), ""))
         sz = ray.get(sref)
         a = t.column("host_a").to_pylist()
@@ -371,20 +355,14 @@ def mirror_clusters(
     def distinct_hosts(t: pa.Table) -> pa.Table:
         return t.select([host_col]).group_by(host_col).aggregate([])
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({
-                host_col: pd.Series([], dtype=object),
-                "cluster_id": pd.Series([], dtype="uint64"),
-            })
-        hosts = g[host_col].drop_duplicates().to_numpy(dtype=object)
-        nodes = node_ids(list(hosts))
+    def finish(g: pa.Table) -> pa.Table:
+        hosts = pc.unique(g.column(host_col))
         lbl = ray.get(lref)
-        return pd.DataFrame({
+        return pa.table({
             host_col: hosts,
-            "cluster_id": np.array(
-                [lbl.get(int(n), int(n)) for n in nodes], np.uint64
-            ),
+            "cluster_id": pa.array(
+                [lbl.get(int(n), int(n)) for n in node_ids(hosts.to_pylist())],
+                pa.uint64()),
         })
 
     return keyed_partition_map_groups(

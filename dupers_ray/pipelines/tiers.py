@@ -41,7 +41,6 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -49,6 +48,7 @@ import ray.data
 
 from dupers_ray.config import DedupConfig
 from dupers_ray.functions.grouping import keyed_partition_map_groups
+from dupers_ray.functions.pairs import min_per_key
 
 TIER_KEPT, TIER_EXACT, TIER_NORM, TIER_NEAR = 0, 1, 2, 3
 TIER_NAMES = {TIER_KEPT: "kept", TIER_EXACT: "exact",
@@ -145,7 +145,19 @@ def _fused_scan(batch: pa.Table, *, id_col: str, text_col: str,
     })
 
 
-def _resolve_exact_norm(g: pd.DataFrame, *, id_col: str) -> pd.DataFrame:
+def _not_min(g: pa.Table, id_col: str, live: np.ndarray,
+             keys: "list[str]") -> np.ndarray:
+    """Row mask: ``live`` rows whose id is not the min id of their
+    ``keys`` group among the live rows."""
+    idx = np.flatnonzero(live)
+    ids = g.column(id_col).to_numpy()[idx]
+    m = min_per_key([g.column(k).to_numpy()[idx] for k in keys], ids)
+    out = np.zeros(g.num_rows, bool)
+    out[idx] = ids != ids[m]
+    return out
+
+
+def _resolve_exact_norm(g: pa.Table, *, id_col: str) -> pa.Table:
     """Resolve tiers 1 AND 2 inside one norm-key partition. Equal raw
     digests imply equal normalized digests, so every raw-digest group
     arrives complete in its norm group's partition — one shuffle settles
@@ -155,26 +167,21 @@ def _resolve_exact_norm(g: pd.DataFrame, *, id_col: str) -> pd.DataFrame:
     - normalized: survived exact, non-empty normalized text,
       id != min(id) of the norm-digest group among such survivors.
     """
-    n = len(g)
-    r_exact = np.zeros(n, bool)
-    r_norm = np.zeros(n, bool)
-    live = ~g["txt_empty"].to_numpy(dtype=bool)
-    if live.any():
-        sub = g.loc[live]
-        m = sub.groupby(["digest_u64", "digest_u64b"],
-                        sort=False)[id_col].transform("min")
-        r_exact[live] = (sub[id_col] != m).to_numpy()
-    nl = live & ~r_exact & ~g["norm_empty"].to_numpy(dtype=bool)
-    if nl.any():
-        sub = g.loc[nl]
-        m = sub.groupby(["norm_u64", "norm_u64b"],
-                        sort=False)[id_col].transform("min")
-        r_norm[nl] = (sub[id_col] != m).to_numpy()
-    return pd.DataFrame({
-        id_col: g[id_col].to_numpy(),
-        "r_exact": r_exact,
-        "r_norm": r_norm,
-    })
+    live = ~g.column("txt_empty").to_numpy()
+    r_exact = _not_min(g, id_col, live, ["digest_u64", "digest_u64b"])
+    nl = live & ~r_exact & ~g.column("norm_empty").to_numpy()
+    r_norm = _not_min(g, id_col, nl, ["norm_u64", "norm_u64b"])
+    return pa.table({id_col: g.column(id_col), "r_exact": r_exact,
+                     "r_norm": r_norm})
+
+
+def _non_min_members(g: pa.Table, *, id_col: str, out_col: str,
+                     label: str) -> pa.Table:
+    """(out_col, tier=label) for every cluster member that is not its
+    cluster's min id — the rows a keep-min tier removes."""
+    rm = _not_min(g, id_col, np.ones(g.num_rows, bool), ["cluster_id"])
+    return pa.table({out_col: g.column(id_col).filter(rm),
+                     "tier": pa.array([label] * int(rm.sum()), pa.string())})
 
 
 def fused_tier_scan(
@@ -277,18 +284,10 @@ def _tiers_from_fused(
     ).materialize()
     clusters = dupe_clusters_from_sigs(content, cfg, mapping_ds=content)
 
-    def near_removed(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("cluster_id", sort=False)[id_col].transform("min")
-        sub = g.loc[g[id_col] != m, id_col]
-        # dtype-stable even when empty: a 0-row object column would reach
-        # Arrow as type null and break the cogroup-join fallback
-        return pd.DataFrame({
-            id_col: sub.to_numpy(),
-            "tier": pd.Series(["near"] * len(sub), dtype="string"),
-        })
-
     r3 = keyed_partition_map_groups(
-        clusters, "cluster_id", near_removed, num_partitions=_N_PARTS
+        clusters, "cluster_id",
+        partial(_non_min_members, id_col=id_col, out_col=id_col, label="near"),
+        num_partitions=_N_PARTS,
     )
 
     def label12(t: pa.Table) -> pa.Table:
@@ -368,16 +367,11 @@ def dedup_tiers_semantic(
         emb_col=emb_col, method=method, **lsh_kwargs,
     )
 
-    def sem_removed(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("cluster_id", sort=False)[emb_id_col].transform("min")
-        sub = g.loc[g[emb_id_col] != m, emb_id_col]
-        return pd.DataFrame({
-            id_col: sub.to_numpy(),
-            "tier": pd.Series(["semantic"] * len(sub), dtype="string"),
-        })
-
     r4 = keyed_partition_map_groups(
-        clusters, "cluster_id", sem_removed, num_partitions=_N_PARTS
+        clusters, "cluster_id",
+        partial(_non_min_members, id_col=emb_id_col, out_col=id_col,
+                label="semantic"),
+        num_partitions=_N_PARTS,
     )
     return _overlay_tier(base, r4, "semantic", id_col=id_col)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
 import pyarrow as pa
 
 from dupers_ray.stages.urlnorm import canonical_url, registrable_domain
@@ -173,31 +174,27 @@ def revisit_collapse(
 
     Scale shape: digests are computed upstream, so ONE url-hash shuffle
     of (url, ts, digest) rows — never payload bytes — co-locates each
-    url's captures; per partition a vectorized pandas
-    groupby-``transform('min')`` over (url, digest). No per-url Python
+    url's captures; per partition one vectorized min-ts segment reduce
+    over (url, digest). No per-url Python
     loop; a hot url costs only its own capture rows. SQL oracle:
     ``min(ts) OVER (PARTITION BY url, digest)``.
     """
-    import pandas as pd
-
     from dupers_ray.functions.grouping import keyed_partition_map_groups
+    from dupers_ray.functions.pairs import min_per_key
 
     cols = [url_col, ts_col, digest_col]
 
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({
-                url_col: pd.Series([], dtype=object),
-                ts_col: pd.Series([], dtype="int64"),
-                digest_col: pd.Series([], dtype="uint64"),
-                "is_revisit": pd.Series([], dtype="int64"),
-                "ref_ts": pd.Series([], dtype="int64"),
-            })
-        ref = g.groupby([url_col, digest_col], sort=False)[ts_col].transform("min")
-        out = g[cols].copy()
-        out["is_revisit"] = (g[ts_col] > ref).astype("int64")
-        out["ref_ts"] = ref.astype("int64")
-        return out
+    def per_part(g: pa.Table) -> pa.Table:
+        ts = g.column(ts_col).cast(pa.int64())
+        tv = ts.to_numpy()
+        ref = tv[min_per_key([g.column(url_col).to_numpy(),
+                              g.column(digest_col).to_numpy()], tv)]
+        return pa.table({
+            url_col: g.column(url_col), ts_col: g.column(ts_col),
+            digest_col: g.column(digest_col),
+            "is_revisit": pa.array((tv > ref).astype(np.int64)),
+            "ref_ts": pa.array(ref),
+        })
 
     return keyed_partition_map_groups(
         ds.select_columns(cols), url_col, per_part, num_partitions=n_parts

@@ -86,11 +86,9 @@ def dedup_method_venn(
     methods then reduce over that compact signature table — the text is
     never re-read or re-tokenized per method (previously 4 independent
     scans, measured 19.9 s → see BENCH)."""
-    import pandas as pd
-
     from dupers_ray.config import DedupConfig
     from dupers_ray.pipelines.dupe import dupe_clusters_from_sigs
-    from dupers_ray.pipelines.tiers import _N_PARTS, fused_tier_scan
+    from dupers_ray.pipelines.tiers import _N_PARTS, _not_min, fused_tier_scan
     from dupers_ray.stages.simhash import hamming_pairs_from_sigs
 
     cfg = DedupConfig(id_col=id_col, text_col=text_col)
@@ -103,28 +101,17 @@ def dedup_method_venn(
     # raw-digest group arrives complete in its norm group's partition (the
     # tiers _resolve_exact_norm co-location argument; here the norm rule is
     # INDEPENDENT of the exact rule — each method flags as if it ran alone)
-    def resolve_exact_norm_flags(g: pd.DataFrame) -> pa.Table:
-        ids = g[id_col].to_numpy()
-        bits = np.zeros(len(g), np.int64)
+    def resolve_exact_norm_flags(g: pa.Table) -> pa.Table:
+        bits = np.zeros(g.num_rows, np.int64)
         for empty_col, key_cols, bit in (
             ("txt_empty", ["digest_u64", "digest_u64b"], EXACT_BIT),
             ("norm_empty", ["norm_u64", "norm_u64b"], NORM_BIT),
         ):
-            ne = ~g[empty_col].to_numpy(bool)
-            sub = g[ne]
-            if len(sub):
-                mn = sub.groupby(key_cols)[id_col].transform("min").to_numpy()
-                flagged = sub[id_col].to_numpy() != mn
-                bits[np.flatnonzero(ne)[flagged]] |= bit
+            live = ~g.column(empty_col).to_numpy()
+            bits[_not_min(g, id_col, live, key_cols)] |= bit
         hit = bits > 0
-        # Arrow out: downstream union joins Arrow-block flag sets and the
-        # groupby sampler asserts on a mixed arrow/pandas block stream.
-        # Pin the id type explicitly: an EMPTY object array would infer
-        # Arrow type null, giving dup-free partitions a different block
-        # schema than dup-bearing ones (string-id corpora break downstream)
-        id_type = pa.string() if ids.dtype == object else None
         return pa.table({
-            id_col: pa.array(ids[hit], type=id_type),
+            id_col: g.column(id_col).filter(hit),
             "bit": pa.array(bits[hit]),
         })
 

@@ -98,7 +98,9 @@ def _default_n_shards() -> int:
     rows at 600k docs emit in 1.6 s with 32 shards vs 5.4 s with 16 on 32
     cores, and even an 8-core run prefers 8-16 shards over 4. The
     tradeoff: cross-BAND duplicate pairs dedup only within one shard, so
-    more shards emit ~30% duplicate candidates — harmless to clusters
+    a near pair is emitted once per shard its bands reach — 72.7% of
+    candidates are cross-shard repeats at 4 shards (7657 pairs emitted,
+    2092 distinct, pagebench seed 42) — harmless to clusters
     (duplicate edges don't change connected components) and cheaper than
     the emission savings. On a multi-node cluster this scales per node:
     shards spread across raylets, each node contributing its own memory

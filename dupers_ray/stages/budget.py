@@ -41,6 +41,7 @@ from dupers_ray.functions.grouping import (
     keyed_partition_map_groups,
 )
 from dupers_ray.functions.hashing import splitmix64
+from dupers_ray.functions.pairs import run_starts
 from dupers_ray.stages.textstats import _TOKEN_RE
 
 DEFAULT_N_BUCKETS = 4096
@@ -125,7 +126,7 @@ def select_token_budget(
         })
 
     return coalesced_map_groups(
-        compact, "__bucket", resolve, num_keys=n_buckets, batch_format="pyarrow"
+        compact, "__bucket", resolve, num_keys=n_buckets
     )
 
 
@@ -233,7 +234,6 @@ def select_mix_budget(
 
     return coalesced_map_groups(
         compact, "__sb", resolve, num_keys=(unknown + 1) * n_buckets,
-        batch_format="pyarrow",
     )
 
 
@@ -393,7 +393,7 @@ def layout_from_stats(
         })
 
     return coalesced_map_groups(
-        keyed, "__bucket", resolve, num_keys=n_buckets, batch_format="pyarrow"
+        keyed, "__bucket", resolve, num_keys=n_buckets
     )
 
 
@@ -500,25 +500,20 @@ def windows_from_layout(
         batch_size=8192,
     )
 
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        """Per seq_id-hash partition: vectorized per-window reduce (one
-        pandas groupby, no per-window Python call)."""
-        if not len(g):
-            return pd.DataFrame({
-                "seq_id": pd.Series([], dtype="int64"),
-                "n_toks": pd.Series([], dtype="int64"),
-                "checksum": pd.Series([], dtype="uint64"),
-            })
-        df = pd.DataFrame({
-            "seq_id": g["seq_id"].to_numpy(np.int64),
-            "n_toks": g["n_toks"].to_numpy(np.int64),
-            "chk": g["chk"].to_numpy().view(np.uint64),
+    def assemble(g: pa.Table) -> pa.Table:
+        """Per seq_id-hash partition: vectorized per-window segment sums
+        (no per-window Python call); the uint64 checksum wraps mod 2^64."""
+        seq = g.column("seq_id").to_numpy()
+        order = np.argsort(seq, kind="stable")
+        seq = seq[order]
+        starts = np.flatnonzero(run_starts(seq))
+        return pa.table({
+            "seq_id": seq[starts],
+            "n_toks": np.add.reduceat(g.column("n_toks").to_numpy()[order],
+                                      starts),
+            "checksum": np.add.reduceat(
+                g.column("chk").to_numpy()[order].view(np.uint64), starts),
         })
-        out = df.groupby("seq_id", sort=False).agg(
-            n_toks=("n_toks", "sum"), checksum=("chk", "sum")
-        ).reset_index()
-        out["checksum"] = out["checksum"].astype("uint64")  # wraps mod 2^64
-        return out
 
     return keyed_partition_map_groups(frags, "seq_id", assemble, num_partitions=64)
 

@@ -193,7 +193,7 @@ def cdc_dedup_stats(
 
     parts = keyed_partition_map_groups(
         ds.map_batches(chunks, batch_format="pyarrow", zero_copy_batch=True),
-        "h", partial, num_partitions=n_parts, batch_format="pyarrow",
+        "h", partial, num_partitions=n_parts,
     )
     # <= n_parts partial rows — a driver-side sum of a tiny frame
     df = parts.to_pandas()

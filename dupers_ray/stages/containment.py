@@ -195,7 +195,7 @@ def containment_pairs(
 
     candidates = keyed_partition_map_groups(
         grams, "gram", functools.partial(_emit_pairs, max_bucket=max_bucket),
-        num_partitions=_GRAM_PARTITIONS, batch_format="pyarrow",
+        num_partitions=_GRAM_PARTITIONS,
     )
     return _verify_containment(candidates, ds, id_col=id_col,
                                text_col=text_col)

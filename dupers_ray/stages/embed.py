@@ -24,7 +24,9 @@ import ray.data
 
 from dupers_ray.functions.grouping import (
     coalesced_map_groups,
+    head_per_key,
     keyed_partition_map_groups,
+    to_arrow_table,
 )
 from dupers_ray.functions.hashing import splitmix64
 
@@ -107,14 +109,11 @@ def topk_cosine(
     return _final_topk(partials, k=k, id_col=id_col)
 
 
-def _topk_rows(g, *, k: int, id_col: str):
-    """Top-``k`` rows per query id (score desc, id asc) of a frame
+def _topk_rows(g: pa.Table, *, k: int, id_col: str) -> pa.Table:
+    """Top-``k`` rows per query id (score desc, id asc) of a table
     holding one or many query ids."""
-    g = g.sort_values(["query_id", "score", id_col],
-                      ascending=[True, False, True], kind="mergesort")
-    return g.groupby("query_id", sort=False).head(k)[
-        ["query_id", id_col, "score"]
-    ]
+    return head_per_key(g.select(["query_id", id_col, "score"]), "query_id",
+                        [("score", "descending"), (id_col, "ascending")], k)
 
 
 def _final_topk(partials: "ray.data.Dataset", *, k: int, id_col: str):
@@ -363,7 +362,7 @@ def knn_graph_ivf(
         })
 
     partials = coalesced_map_groups(
-        routed, "cell", cell_topk, num_keys=len(cents), batch_format="pyarrow"
+        routed, "cell", cell_topk, num_keys=len(cents)
     )
     return _final_topk(partials, k=k, id_col=id_col)
 
@@ -535,7 +534,6 @@ def cosine_pairs_lsh(
     candidates = keyed_partition_map_groups(
         ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True),
         "bucket", functools.partial(_candidate_id_pairs, id_col=id_col),
-        batch_format="pyarrow",
     )
 
     # cross-table pair dedup BEFORE verify (saves verify work)
@@ -549,7 +547,7 @@ def cosine_pairs_lsh(
                          "b": pa.array(b, pa.int64())})
 
     pairs = keyed_partition_map_groups(
-        candidates, ["a", "b"], dedup, batch_format="pyarrow"
+        candidates, ["a", "b"], dedup
     )
     return _verify_cosine_pairs(
         pairs, ds, threshold=threshold, id_col=id_col, emb_col=emb_col,
@@ -620,11 +618,7 @@ def embed_dup_clusters(
     from dupers_ray.pipelines.dupe import assign_clusters
 
     if method == "broadcast":
-        parts = [
-            ray.get(r)
-            for r in ds.select_columns([id_col, emb_col]).to_arrow_refs()
-        ]
-        t = pa.concat_tables([p for p in parts if p.num_rows] or parts)
+        t = to_arrow_table(ds.select_columns([id_col, emb_col]))
         ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         mat = _mat(t.column(emb_col))
         pairs = cosine_pairs_broadcast(

@@ -220,22 +220,25 @@ def top_per_group(
     n=1 with by=[(score, False), (id, True)] is representative selection:
     the best-scoring row per group, min-id on ties (the reference's
     first-match rule, dupe.go:919-931, with a quality order in front)."""
-    import pandas as pd  # noqa: F401 — sort/head are pandas C kernels
+    from dupers_ray.functions.grouping import (
+        head_per_key,
+        keyed_partition_map_groups,
+    )
 
-    cols = [c for c, _ in by]
-    asc = [a for _, a in by]
+    order = _sort_keys(by)
 
-    def topn(df):
-        return df.sort_values(
-            [group_col, *cols], ascending=[True, *asc], kind="mergesort"
-        ).groupby(group_col, sort=False).head(n)
+    def topn(t: pa.Table) -> pa.Table:
+        return head_per_key(t, group_col, order, n)
 
-    from dupers_ray.functions.grouping import keyed_partition_map_groups
-
-    parts = ds.map_batches(topn, batch_format="pandas")
+    parts = ds.map_batches(topn, batch_format="pyarrow")
     # bounded fan-out: one call per key-hash partition, not per distinct
     # group (per-domain calls are 10^6+ at web scale); topn regroups
     return keyed_partition_map_groups(parts, group_col, topn)
+
+
+def _sort_keys(by: list[tuple[str, bool]]) -> list[tuple[str, str]]:
+    """[(col, ascending), ...] as ``Table.sort_by`` keys."""
+    return [(c, "ascending" if a else "descending") for c, a in by]
 
 
 def global_top_k(
@@ -245,23 +248,22 @@ def global_top_k(
     k: int,
 ) -> "ray.data.Dataset":
     """Global top-k under ``by`` = [(col, ascending), ...] WITHOUT a
-    global sort: each block forwards its own top-k (one pandas C sort
-    per block), then one final merge over the ≤ k·n_blocks survivors.
+    global sort: each block forwards its own top-k (one Arrow sort per
+    block), then one final merge over the ≤ k·n_blocks survivors.
     The order must be total (end ``by`` with a unique column) for a
     deterministic cutoff. Replaces ``ds.sort(...).limit(k)`` wherever
     the input is unbounded (a 10^8-token vocabulary squeezed through a
     2-partition sort was the round-4 verdict's weak #4) — the sort
     AllToAll disappears; only top-k survivors ever move. Output rows
     come back in ``by`` order."""
-    cols = [c for c, _ in by]
-    asc = [a for _, a in by]
+    order = _sort_keys(by)
 
-    def topk(df):
-        return df.sort_values(cols, ascending=asc, kind="mergesort").head(k)
+    def topk(t: pa.Table) -> pa.Table:
+        return t.sort_by(order).slice(0, k)
 
-    parts = ds.map_batches(topk, batch_format="pandas", batch_size=None)
+    parts = ds.map_batches(topk, batch_format="pyarrow", batch_size=None)
     # survivors are ≤ k per block — one tiny block finishes exactly;
     # batch_size=None so the final topk sees the whole block at once
     return parts.repartition(1).map_batches(
-        topk, batch_format="pandas", batch_size=None
+        topk, batch_format="pyarrow", batch_size=None
     )

@@ -130,7 +130,7 @@ def _partitioned_count_filter(
         return pa.table({"lh": pa.array(hs[idx][keep], pa.int64())})
 
     return keyed_partition_map_groups(
-        partials, "lh", reduce_part, batch_format="pyarrow"
+        partials, "lh", reduce_part
     ).to_pandas()
 
 
@@ -382,7 +382,7 @@ def duplicated_paragraph_winners(
         docs.map_batches(
             per_batch, batch_format="pyarrow", zero_copy_batch=True
         ),
-        "lh", reduce_part, batch_format="pyarrow",
+        "lh", reduce_part,
     ).to_pandas()
     if not len(dup):
         return np.empty(0, np.uint64), np.empty(0, np.int64)

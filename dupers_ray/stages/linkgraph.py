@@ -293,30 +293,24 @@ def anchor_profiles(
 ) -> "ray.data.Dataset":
     """(dst_host, anchor, n) — how the web DESCRIBES each host: counts
     of inlink anchor texts per target host (the classic off-page label
-    signal anchor-text ranking uses). Combiner shape: per-batch pandas
-    groupby-size pre-aggregates before ONE (dst_host, anchor) groupby —
+    signal anchor-text ranking uses). Combiner shape: per-batch Arrow
+    group-count pre-aggregates before ONE (dst_host, anchor) groupby —
     nav-bar boilerplate collapses inside the batch, and the shuffle
     carries at most distinct-(host, anchor) rows."""
-    import pandas as pd
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            df.groupby(["dst_host", anchor_col], sort=False)
-            .size().reset_index(name="n")
-        )
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.groupby(["dst_host", anchor_col], sort=False)["n"]
-            .sum().reset_index()
-        )
-
     from dupers_ray.functions.grouping import keyed_partition_map_groups
 
-    parts = links.select_columns(["dst_host", anchor_col]).map_batches(
-        partial, batch_format="pandas"
+    keys = ["dst_host", anchor_col]
+
+    def partial(t: pa.Table) -> pa.Table:
+        out = t.group_by(keys).aggregate([([], "count_all")])
+        return out.select([*keys, "count_all"]).rename_columns([*keys, "n"])
+
+    def merge(g: pa.Table) -> pa.Table:
+        out = g.group_by(keys).aggregate([("n", "sum")])
+        return out.select([*keys, "n_sum"]).rename_columns([*keys, "n"])
+
+    parts = links.select_columns(keys).map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True
     )
     # bounded fan-out (hosts are unbounded); merge regroups internally
     return keyed_partition_map_groups(parts, "dst_host", merge)
@@ -520,7 +514,6 @@ def _host_table(
         key_col="hkey",
         fn=dedup,
         num_partitions=num_partitions,
-        batch_format="pyarrow",
     )
 
 

@@ -42,6 +42,7 @@ import pyarrow as pa
 
 import ray
 
+from dupers_ray.functions.grouping import to_arrow_table
 from dupers_ray.functions.hashing import splitmix64
 from dupers_ray.stages.lmstats import _doc_tokens
 from dupers_ray.stages.minhash import _POLY
@@ -113,10 +114,8 @@ def bigram_rarity(
         strategy = "broadcast" if counts.count() <= broadcast_limit else "join"
 
     if strategy == "broadcast":
-        parts = [ray.get(r) for r in counts.to_arrow_refs()]
-        parts = [p for p in parts if p.num_rows]
-        if parts:
-            ct = pa.concat_tables(parts)
+        ct = to_arrow_table(counts)
+        if ct.num_rows:
             vh = ct.column("bh").to_numpy(zero_copy_only=False).view(np.uint64)
             vn = ct.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
             order = np.argsort(vh)

@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from dupers_ray.functions.grouping import to_arrow_table
 from dupers_ray.functions.hashing import hash_str_u64
 from dupers_ray.stages.textstats import partial_token_counts
 
@@ -134,12 +135,8 @@ def doc_freq_stats(
         strategy = "broadcast" if vocab.count() <= broadcast_limit else "join"
 
     if strategy == "broadcast":
-        parts = [
-            ray.get(r) for r in vocab.to_arrow_refs()
-        ]
-        parts = [p for p in parts if p.num_rows]
-        if parts:
-            vt = pa.concat_tables(parts)
+        vt = to_arrow_table(vocab)
+        if vt.num_rows:
             vh = hash_str_u64(vt.column("token").to_pylist())
             vn = vt.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
             order = np.argsort(vh)
@@ -257,7 +254,7 @@ def doc_freq_stats(
     # document; final() regroups internally so key-hash partitions are
     # exact (functions/grouping.py)
     return keyed_partition_map_groups(
-        partials, id_col, final, batch_format="pyarrow"
+        partials, id_col, final
     )
 
 
@@ -313,10 +310,8 @@ def doc_rare_terms(
     import pandas as pd
 
     dfreq = corpus_doc_freqs(ds, text_col=text_col).materialize()
-    parts = [ray.get(r) for r in dfreq.to_arrow_refs()]
-    parts = [p for p in parts if p.num_rows]
-    if parts:
-        vt = pa.concat_tables(parts)
+    vt = to_arrow_table(dfreq)
+    if vt.num_rows:
         vh = hash_str_u64(vt.column("token").to_pylist())
         vd = vt.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(vh)

@@ -17,6 +17,7 @@ import pyarrow as pa
 
 import ray.data
 
+from dupers_ray.functions.grouping import to_arrow_table
 from dupers_ray.pipelines.joins import map_pairs
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
@@ -58,9 +59,8 @@ def all_pairs_candidates(
             expr=f"{id_col} < {int(id_cap)}"
         )
     all_ids = np.sort(
-        np.asarray(
-            pa.concat_tables(ray.get(ids_ds.to_arrow_refs())).column(id_col)
-        ).astype(np.int64)
+        to_arrow_table(ids_ds).column(id_col)
+        .to_numpy(zero_copy_only=False).astype(np.int64)
     )
     if len(all_ids) > 1_000_000:
         # n^2 pairs: 1M ids is already 5e11 pairs — this generator exists

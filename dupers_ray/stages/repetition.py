@@ -139,7 +139,7 @@ def dup_ngram_coverage(
 
     tagged = keyed_partition_map_groups(
         gram_rows, "gram", tag_shared_part,
-        num_partitions=_GRAM_PARTITIONS, batch_format="pyarrow",
+        num_partitions=_GRAM_PARTITIONS,
     )
     # per-doc fold of the <=_GRAM_PARTITIONS partials/doc: hash-partitioned
     # reduce, not Ray's sort-based aggregate — the doc key is unbounded
@@ -242,7 +242,7 @@ def content_novelty(
 
     tagged = keyed_partition_map_groups(
         gram_rows, "gram", tag_novel_part,
-        num_partitions=_GRAM_PARTITIONS, batch_format="pyarrow",
+        num_partitions=_GRAM_PARTITIONS,
     )
     # hash-partitioned per-doc fold (see dup_ngram_coverage)
     out = partitioned_aggregate(

@@ -26,6 +26,8 @@ Ray-Data shape:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -208,8 +210,8 @@ def semantic_dedup(
         tag, batch_format="pyarrow", zero_copy_batch=True
     )
     return coalesced_map_groups(
-        tagged, "cell", _prune_cell, num_keys=n_clusters,
-        batch_format="pyarrow",
-        fn_kwargs={"id_col": id_col, "emb_col": emb_col,
-                   "threshold": threshold, "block_rows": block_rows},
+        tagged, "cell",
+        functools.partial(_prune_cell, id_col=id_col, emb_col=emb_col,
+                          threshold=threshold, block_rows=block_rows),
+        num_keys=n_clusters,
     )

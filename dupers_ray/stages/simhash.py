@@ -17,13 +17,13 @@ import logging
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
 
 from dupers_ray.config import SimHashConfig
 from dupers_ray.functions.hashing import hash_str_u64, splitmix64
+from dupers_ray.functions.pairs import run_starts, segment_pairs
 
 
 def simhash_batch(
@@ -184,30 +184,21 @@ def hamming_pairs_from_sigs(
             }
         )
 
-    def pairs_in_bucket(g: pd.DataFrame, max_bucket: int = max_bucket) -> pd.DataFrame:
-        out_s, out_d, out_h = [], [], []
-        dropped = 0
-        for _, sub in g.groupby("bkey", sort=False):
-            sub = sub.drop_duplicates(subset=["node"])
-            if len(sub) < 2:
-                continue
-            nodes = sub["node"].to_numpy(dtype=np.uint64)
-            sigs_ = sub["simhash"].to_numpy(dtype=np.uint64)
-            order = np.argsort(nodes)
-            nodes, sigs_ = nodes[order], sigs_[order]
-            if len(nodes) > max_bucket:  # skew cap, deterministic prefix
-                dropped += len(nodes) - max_bucket
-                nodes, sigs_ = nodes[:max_bucket], sigs_[:max_bucket]
-            # FULL pairwise compare: the pigeonhole guarantee is per-pair
-            # (a close pair shares SOME band) — a star compare against the
-            # min node would miss close pairs that are both far from it
-            m = len(nodes)
-            x = sigs_[:, None] ^ sigs_[None, :]
-            pop = np.unpackbits(x.view(np.uint8).reshape(m, m, 8), axis=2).sum(axis=2)
-            bi, bj = np.nonzero(np.triu(pop <= thr, k=1))
-            out_s.extend(nodes[bi].tolist())
-            out_d.extend(nodes[bj].tolist())
-            out_h.extend(pop[bi, bj].tolist())
+    def pairs_in_bucket(g: pa.Table) -> pa.Table:
+        bkey = g.column("bkey").to_numpy()
+        node = g.column("node").to_numpy()
+        sig = g.column("simhash").to_numpy()
+        order = np.lexsort((node, bkey))
+        bkey, node, sig = bkey[order], node[order], sig[order]
+        first = run_starts(bkey, node)  # one row per (bucket, node)
+        bkey, node, sig = bkey[first], node[first], sig[first]
+        # FULL pairwise compare inside each bucket: the pigeonhole
+        # guarantee is per-pair (a close pair shares SOME band) — a star
+        # compare against the min node would miss close pairs that are
+        # both far from it. Oversized buckets keep a min-node prefix.
+        i, j, _, _ = segment_pairs(bkey, max_bucket=max_bucket)
+        sizes = np.diff(np.r_[np.flatnonzero(run_starts(bkey)), len(bkey)])
+        dropped = int(np.maximum(sizes - max_bucket, 0).sum())
         if dropped:
             # no-silent-truncation contract (near_dedup.py docstring):
             # surface the skew-cap drop count instead of a silent prefix
@@ -215,13 +206,12 @@ def hamming_pairs_from_sigs(
                 "hamming bucket cap dropped %d members (skew guard, "
                 "max_bucket=%d)", dropped, max_bucket,
             )
-        return pd.DataFrame(
-            {
-                "src": pd.Series(out_s, dtype=np.uint64),
-                "dst": pd.Series(out_d, dtype=np.uint64),
-                "hamming": pd.Series(out_h, dtype=np.int64),
-            }
-        )
+        x = sig[i] ^ sig[j]
+        pop = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(
+            axis=1).astype(np.int64)
+        near = pop <= thr
+        return pa.table({"src": node[i][near], "dst": node[j][near],
+                         "hamming": pop[near]})
 
     from dupers_ray.functions.grouping import keyed_partition_map_groups
 
@@ -230,10 +220,11 @@ def hamming_pairs_from_sigs(
         "bkey", pairs_in_bucket, num_partitions=num_partitions,
     )
 
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=["src", "dst"]).reset_index(drop=True)[
-            ["src", "dst", "hamming"]
-        ]
+    def dedup(g: pa.Table) -> pa.Table:
+        # a pair's hamming is a function of its ends: keep any copy
+        out = g.group_by(["src", "dst"]).aggregate([("hamming", "min")])
+        return out.select(["src", "dst", "hamming_min"]).rename_columns(
+            ["src", "dst", "hamming"])
 
     return keyed_partition_map_groups(
         pairs, ["src", "dst"], dedup, num_partitions=num_partitions

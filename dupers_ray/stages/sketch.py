@@ -229,9 +229,11 @@ def grouped_quantiles_disc(
     for bounded-domain columns: lengths, scores, counts); unbounded
     float columns want a mergeable sketch instead.
     """
-    import math
-
-    import pandas as pd
+    from dupers_ray.functions.grouping import (
+        key_codes,
+        keyed_partition_map_groups,
+    )
+    from dupers_ray.functions.pairs import run_starts
 
     if out_cols is None:
         out_cols = tuple(f"q{int(q * 100)}" for q in qs)
@@ -241,25 +243,24 @@ def grouped_quantiles_disc(
         zero_copy_batch=True,
     )
 
-    def one_group(df: "pd.DataFrame") -> dict:
-        agg = df.groupby(value_col, sort=True)["cnt"].sum()
-        vals = agg.index.to_numpy()
-        cum = agg.to_numpy().cumsum()
-        n = int(cum[-1])
-        row: dict = {group_col: df[group_col].iloc[0]}
-        for q, name in zip(qs, out_cols):
-            target = max(1, math.ceil(q * n))
-            row[name] = vals[int(np.searchsorted(cum, target))]
-        return row
-
-    def per_partition(df: "pd.DataFrame") -> "pd.DataFrame":
+    def per_partition(t: pa.Table) -> pa.Table:
         # bounded fan-out (functions/grouping.py): every key in the
-        # partition reduces here — one histogram walk per key
-        return pd.DataFrame([
-            one_group(sub) for _, sub in df.groupby(group_col, sort=True)
-        ])
-
-    from dupers_ray.functions.grouping import keyed_partition_map_groups
+        # partition reduces here — one walk over the sorted histograms.
+        # Counts are >= 1, so the running count is strictly increasing
+        # and one global searchsorted finds each group's quantile rows.
+        h = t.group_by([group_col, value_col]).aggregate([("cnt", "sum")])
+        h = h.sort_by([(group_col, "ascending"), (value_col, "ascending")])
+        cnt = h.column("cnt_sum").to_numpy()
+        cum = np.cumsum(cnt)
+        starts = np.flatnonzero(run_starts(key_codes(h.column(group_col))))
+        base = cum[starts] - cnt[starts]
+        n = np.add.reduceat(cnt, starts)
+        vals = h.column(value_col)
+        cols = {group_col: h.column(group_col).take(starts)}
+        for q, name in zip(qs, out_cols):
+            target = np.maximum(1, np.ceil(q * n).astype(np.int64))
+            cols[name] = vals.take(np.searchsorted(cum, base + target))
+        return pa.table(cols)
 
     return keyed_partition_map_groups(parts, group_col, per_partition)
 
@@ -289,14 +290,14 @@ def global_value_ranks(
         .rename_columns([value_col, "cnt"]),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    from dupers_ray.functions.grouping import partitioned_aggregate
+    from dupers_ray.functions.grouping import (
+        partitioned_aggregate,
+        to_arrow_table,
+    )
 
     # hash-partitioned reduce: distinct-value cardinality is data-sized
-    hist = partitioned_aggregate(parts, value_col, sums=("cnt",))
-    rows = [ray.get(r) for r in hist.to_arrow_refs()]
-    rows = [t for t in rows if t.num_rows]
-    if rows:
-        h = pa.concat_tables(rows)
+    h = to_arrow_table(partitioned_aggregate(parts, value_col, sums=("cnt",)))
+    if h.num_rows:
         vals = h.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
         cnts = h.column("cnt").to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(vals)

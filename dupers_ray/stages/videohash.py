@@ -193,7 +193,6 @@ def video_dup_clusters(
     within ``hamming_threshold`` — one banding shuffle per slot (slots
     never mix), then ONE (src, dst) count shuffle for the vote, then
     the shared components + assignment machinery."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     from dupers_ray.functions.grouping import keyed_partition_map_groups
@@ -232,15 +231,12 @@ def video_dup_clusters(
     ]
     allp = slot_pairs[0].union(*slot_pairs[1:])
 
-    def vote(g: pd.DataFrame) -> pd.DataFrame:
+    def vote(g: pa.Table) -> pa.Table:
         # per-slot pair lists are already internally deduped, so the
         # group size per (src, dst) IS the number of agreeing slots
-        cnt = g.groupby(["src", "dst"], sort=False).size().reset_index(name="n")
-        keep = cnt[cnt["n"] >= majority]
-        return pd.DataFrame({
-            "src": keep["src"].to_numpy(dtype=np.uint64),
-            "dst": keep["dst"].to_numpy(dtype=np.uint64),
-        })
+        cnt = g.group_by(["src", "dst"]).aggregate([([], "count_all")])
+        return cnt.filter(pc.greater_equal(cnt.column("count_all"), majority)
+                          ).select(["src", "dst"])
 
     edges = keyed_partition_map_groups(
         allp, ["src", "dst"], vote, num_partitions=num_partitions

@@ -217,11 +217,11 @@ def winnow_matches(
 
     pairs = keyed_partition_map_groups(
         ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        "gram", emit_pairs, num_partitions=n_parts, batch_format="pyarrow",
+        "gram", emit_pairs, num_partitions=n_parts,
     )
     return keyed_partition_map_groups(
         pairs, ["src", "dst"], count_pairs,
-        num_partitions=n_parts, batch_format="pyarrow",
+        num_partitions=n_parts,
     )
 
 

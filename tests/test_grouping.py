@@ -65,12 +65,10 @@ def test_coalesced_map_groups_exact():
     })
     ds = rd.from_arrow(tbl).repartition(32)
 
-    def f(g: pd.DataFrame) -> pd.DataFrame:
-        assert g["__part"].nunique() == 1
-        return pd.DataFrame({
-            "__part": [int(g["__part"].iloc[0])],
-            "s": [int(g["v"].sum())],
-        })
+    def f(g: pa.Table) -> pa.Table:
+        assert len(pc.unique(g.column("__part"))) == 1
+        return pa.table({"__part": g.column("__part")[:1],
+                         "s": [pc.sum(g.column("v")).as_py()]})
 
     out = coalesced_map_groups(ds, "__part", f, num_keys=64).materialize()
     got = out.to_pandas().sort_values("__part").reset_index(drop=True)
@@ -101,9 +99,9 @@ _KEYED = pa.table({
 def test_keyed_partition_map_groups_reduces_every_key_once(key):
     keys = [key] if isinstance(key, str) else key
 
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        assert "__part" not in g.columns
-        return g.groupby(keys, as_index=False)["v"].sum()
+    def per_part(g: pa.Table) -> pa.Table:
+        assert "__part" not in g.column_names
+        return g.group_by(keys).aggregate([("v", "sum")])
 
     exp = _rows(pa.Table.from_pandas(
         _KEYED.to_pandas().groupby(keys, as_index=False)["v"].sum(),
@@ -219,7 +217,7 @@ def test_single_key_group_map_emits_typed_blocks():
         rd.from_arrow(one_key), "k",
         lambda g: pa.table({"k": g.column("k")[:1],
                             "s": [pc.sum(g.column("v")).as_py()]}),
-        num_keys=1, batch_format="pyarrow",
+        num_keys=1,
     ))
     assert out.to_pylist() == [{"k": 5, "s": 6}]
 
@@ -432,52 +430,212 @@ def test_map_pairs_empty_sides(route, key_type):
     assert got.column_names == ["x", "y", "tag", "va", "vb"]
 
 
-# -- 0-row pandas outputs of group maps ---------------------------------------
+# -- Arrow-only group functions -----------------------------------------------
 
-def test_empty_pandas_group_outputs_size_without_errors(caplog):
-    """Ray's pandas-block size estimate logs `Error calculating size for
-    column ...` for 0-row object/string columns; the grouping layer hands
-    group-map outputs to Ray as typed Arrow tables instead."""
+def test_empty_group_outputs_are_typed_and_size_without_errors(caplog):
+    """Group functions hand Ray typed Arrow tables also with 0 rows: a
+    0-row string column stays ``string`` (never Arrow ``null``) and Ray's
+    block size estimate logs no `Error calculating size`."""
     import logging
 
     from ray.data.block import BlockAccessor
 
-    from dupers_ray.functions.grouping import _arrow_output
     from dupers_ray.pipelines.exact_dedup import _group_pairs
     from dupers_ray.pipelines.overlap import _pair_rows
+    from dupers_ray.pipelines.tiers import _non_min_members
 
-    empty = pd.DataFrame({
-        "url": pd.Series([], dtype=object),
-        "digest": pd.Series([], dtype=object),
-        "source": pd.Series([], dtype=object),
-        "n": pd.Series([], dtype="int64"),
-    })
-    no_pairs = pd.DataFrame({"url": ["u"], "digest": ["d"], "source": ["s"],
-                             "n": [1]})  # one doc: no pair at all
+    one = pa.table({"url": ["u"], "digest": ["d"], "source": ["s"],
+                    "n": pa.array([1], pa.int64()),
+                    "cluster_id": pa.array([7], pa.uint64())})
     site_fns = {  # output column -> the group function that emits it
         "match_url": lambda g: _group_pairs(g, "url"),  # report, CLI
         "source_a": lambda g: _pair_rows(g, "source"),  # overlap
-        "host_a": lambda g: _pair_rows(g, "source").rename(
-            columns={"source_a": "host_a", "source_b": "host_b"}),
-        "tier": lambda g: pd.DataFrame({  # tiers near / semantic
-            "url": g["url"].to_numpy()[:0],
-            "tier": pd.Series([], dtype="string"),
-        }),
+        "tier": lambda g: _non_min_members(  # tiers near / semantic
+            g, id_col="url", out_col="url", label="near"),
     }
     ray_log = logging.getLogger("ray.data")
     ray_log.addHandler(caplog.handler)  # Ray's loggers do not propagate
     try:
         with caplog.at_level(logging.WARNING, logger="ray.data"):
             for col, fn in site_fns.items():
-                for group in (empty, no_pairs):
-                    out = _arrow_output(fn)(group)
+                for group in (one.slice(0, 0), one):  # one doc: no pair
+                    out = fn(group)
                     assert isinstance(out, pa.Table) and out.num_rows == 0
                     assert out.schema.field(col).type == pa.string()
                     BlockAccessor.for_block(out).size_bytes()
-            # the unwrapped pandas frame does log it: the check can fail
-            BlockAccessor.for_block(site_fns["tier"](empty)).size_bytes()
     finally:
         ray_log.removeHandler(caplog.handler)
-    errors = [r for r in caplog.records
-              if "Error calculating size" in r.getMessage()]
-    assert len(errors) == 2  # the unwrapped frame's two string columns
+    assert not [r for r in caplog.records
+                if "Error calculating size" in r.getMessage()]
+
+
+def _contract_docs() -> pa.Table:
+    base = " ".join(f"alpha{i}" for i in range(60))
+    other = " ".join(f"beta{i}" for i in range(60))
+    texts = [base, base, base + " tail", other, other.upper(),
+             other + ".", "", "gamma delta epsilon zeta eta theta iota"]
+    n = len(texts)
+    return pa.table({
+        "doc_id": pa.array(np.arange(n), pa.int64()),
+        "url": pa.array([f"http://h{i % 2}.example/p{i}" for i in range(n)]),
+        "text": pa.array(texts),
+        "source": pa.array([f"s{i % 3}" for i in range(n)]),
+        "host": pa.array([f"h{i % 3}.example" for i in range(n)]),
+    })
+
+
+def _contract_events() -> pa.Table:
+    base = 1_700_000_000_000_000
+    ts = base + np.array([0, 60, 90_000, 5, 7, 200_000, 10, 400_000]) \
+        * 1_000_000
+    return pa.table({
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "user_id": pa.array([1, 1, 1, 2, 2, 2, 3, 3], pa.int64()),
+        "event_type": pa.array(["signup", "view", "click", "signup",
+                                "view", "purchase", "view", "signup"]),
+    })
+
+
+def _contract_sites() -> dict:
+    """Every operator whose partition functions run through
+    ``keyed_partition_map_groups``, on small inputs of its real schema."""
+    from dupers_ray.functions.grouping import partitioned_aggregate
+    from dupers_ray.pipelines import (
+        decontam,
+        diff,
+        events,
+        exact_dedup,
+        maintenance,
+        near_dedup,
+        overlap,
+        tiers,
+        urls,
+        venn,
+    )
+    from dupers_ray.stages import (
+        budget,
+        embed,
+        filters,
+        linkgraph,
+        simhash,
+        sketch,
+        videohash,
+    )
+    from dupers_ray.synth import synth_doc_videos
+
+    docs = rd.from_arrow(_contract_docs())
+    ev = rd.from_arrow(_contract_events())
+    u64 = pa.uint64()
+    return {
+        "exact_dupe_pairs": lambda: exact_dedup.exact_dupe_pairs(docs),
+        "exact_canonical": lambda: exact_dedup.exact_canonical(
+            docs, keep_cols=["source"]),
+        "soft_dedup_weights": lambda: exact_dedup.soft_dedup_weights(docs),
+        "exact_assign": lambda: diff.exact_assign(docs),
+        "sessionize": lambda: events.sessionize(ev),
+        "window_distinct": lambda: events.window_distinct(ev),
+        "cohort_retention": lambda: events.cohort_retention(ev),
+        "funnel_counts": lambda: events.funnel_counts(ev, within="7d"),
+        "latest_per_key": lambda: maintenance.latest_per_key(
+            docs, key_col="source", order_col="doc_id", tie_col="url"),
+        "distinct_pairs": lambda: near_dedup._distinct_pairs(rd.from_arrow(
+            pa.table({"src": pa.array([1, 1, 2], u64),
+                      "dst": pa.array([3, 3, 4], u64)}))),
+        "source_overlap": lambda: overlap.source_overlap(docs),
+        "near_source_overlap": lambda: overlap.near_source_overlap(docs),
+        "mirror_clusters": lambda: overlap.mirror_clusters(
+            docs, min_jaccard=0.0),
+        "dedup_tiers": lambda: tiers.dedup_tiers(docs),
+        "revisit_collapse": lambda: urls.revisit_collapse(rd.from_arrow(
+            pa.table({"url": ["a", "a", "a", "b"],
+                      "ts": pa.array([1, 2, 3, 1], pa.int64()),
+                      "digest": pa.array([9, 9, 8, 9], u64)}))),
+        "dedup_method_venn": lambda: venn.dedup_method_venn(docs),
+        "packed_windows": lambda: budget.packed_windows(docs, seq_len=8),
+        "topk_cosine": lambda: embed.topk_cosine(
+            rd.from_arrow(pa.table({
+                "vec_id": pa.array(np.arange(6), pa.int64()),
+                "embedding": pa.array(
+                    [[1.0, float(i)] for i in range(6)],
+                    pa.list_(pa.float32()))})),
+            np.array([[1.0, 0.0], [0.0, 1.0]], np.float32), k=2),
+        "top_per_group": lambda: filters.top_per_group(
+            docs, group_col="source", by=[("doc_id", False)], n=2),
+        "anchor_profiles": lambda: linkgraph.anchor_profiles(rd.from_arrow(
+            pa.table({"dst_host": ["a", "a", "b"], "anchor": ["x", "x", "y"]}))),
+        "hamming_pairs": lambda: simhash.hamming_pairs_from_sigs(
+            rd.from_arrow(pa.table({
+                "node": pa.array([1, 2, 3], u64),
+                "simhash": pa.array([0, 1, 2**63], u64)}))),
+        "grouped_quantiles_disc": lambda: sketch.grouped_quantiles_disc(
+            docs.map_batches(lambda t: pa.table({
+                "source": t.column("source"),
+                "len": pc.utf8_length(t.column("text")).cast(pa.int64())}),
+                batch_format="pyarrow"),
+            group_col="source", value_col="len"),
+        "video_dup_clusters": lambda: videohash.video_dup_clusters(
+            rd.from_arrow(synth_doc_videos(
+                _contract_docs().slice(0, 4).select(["doc_id", "text"]))),
+            id_col="doc_id", concurrency=1),
+        "near_decontaminate_join": lambda: decontam.near_decontaminate(
+            docs.select_columns(["doc_id", "text"]),
+            docs.select_columns(["doc_id", "text"]).limit(2),
+            strategy="join"),
+        "partitioned_aggregate": lambda: partitioned_aggregate(
+            docs, "source", sums=("doc_id",), mins=("url",), maxs=("text",)),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_contract_sites()))
+def test_group_fn_output_schema_does_not_depend_on_rows(site, monkeypatch):
+    """The empty-output contract: every partition function of ``site``
+    returns the same schema on a 0-row table as on a non-empty table of
+    its real input schema (recorded at the grouping layer)."""
+    from dupers_ray.functions import grouping
+
+    real = grouping.coalesced_map_groups
+    calls = []
+
+    def spy(ds, key, fn, *, num_keys):
+        ds = ds.materialize()
+        calls.append((ds, fn))
+        return real(ds, key, fn, num_keys=num_keys)
+
+    monkeypatch.setattr(grouping, "coalesced_map_groups", spy)
+    out = _contract_sites()[site]()
+    if not isinstance(out, pa.Table):
+        out.materialize()
+    assert calls
+    for ds, fn in calls:
+        t = grouping.to_arrow_table(ds)
+        assert t.num_rows
+        full, empty = fn(t), fn(t.slice(0, 0))
+        assert isinstance(full, pa.Table) and isinstance(empty, pa.Table)
+        assert empty.schema.equals(full.schema), (site, empty.schema,
+                                                  full.schema)
+
+
+def test_partitioned_aggregate_null_key_and_all_null_sum():
+    from dupers_ray.functions.grouping import partitioned_aggregate
+
+    t = pa.table({"k": pa.array([1, None, None, 2, 2], pa.int64()),
+                  "v": pa.array([None, 3, 4, 5, None], pa.int64())})
+    got = _rows(partitioned_aggregate(rd.from_arrow(_shredded(t)), "k",
+                                      sums=("v",), num_partitions=4))
+    assert got == [(None, 7), (1, 0), (2, 5)]
+
+
+def test_to_arrow_table_converts_mixed_blocks():
+    """A Dataset whose first block is Arrow and second is pandas: the raw
+    ``to_arrow_refs`` hands back the pandas frame as is; the helper gives
+    one Arrow table of every row."""
+    from dupers_ray.functions.grouping import to_arrow_table
+
+    ds = rd.from_arrow(pa.table({"a": [1, 2]})).union(
+        rd.from_pandas(pd.DataFrame({"a": [3]})))
+    raw = ray.get(ds.to_arrow_refs())
+    assert isinstance(raw[0], pa.Table)
+    assert any(isinstance(b, pd.DataFrame) for b in raw)
+    got = to_arrow_table(ds)
+    assert isinstance(got, pa.Table)
+    assert sorted(got.column("a").to_pylist()) == [1, 2, 3]
