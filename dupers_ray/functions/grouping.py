@@ -28,17 +28,20 @@ keys=...)``/hash shuffle is not used: it reserves CPUs per operator and
 deadlocks chained operators on small clusters.
 
 The layout rule: before the sort, the input is coalesced to
-``max(2, min(2·CPUs, num_keys // 8))`` blocks, but never to more blocks
-than ``num_keys``. Ray's sort emits one output partition per INPUT
-block; when reducers approach the distinct-key count the sampled range
-boundaries duplicate and the empty ranges materialize as schema-less
-blocks (`RefBundle with a different schema` warnings, a schema hazard
-for downstream unions and block concatenation). Eight keys per reducer
-(boundaries are ~10-sample quantiles per reducer) was observed
-collision-free across full bench runs; a single key gets a single
-reducer, since a second one would always be empty; the cap keeps >= 2
-blocks/CPU at the usual 256-way fan-outs. Coalescing also bounds the
-sort's per-block scheduling cost, which does not depend on data size.
+``max(1, min(2·CPUs, num_keys // 8))`` blocks. Ray's sort emits one
+output partition per INPUT block; when reducers approach the
+distinct-key count the sampled range boundaries duplicate and the empty
+ranges materialize as schema-less blocks (`RefBundle with a different
+schema` warnings, a schema hazard for downstream unions and block
+concatenation). Eight keys per reducer (boundaries are ~10-sample
+quantiles per reducer) was observed collision-free across full bench
+runs, so fewer than 16 keys get a single reducer; the cap keeps >= 2
+blocks/CPU at the usual 256-way fan-outs. A keyed partition map counts
+``min(num_partitions, rows)`` keys when Ray knows the input's row count
+without running it (a materialized or in-memory input), so a handful of
+rows is not spread over empty ranges; a lazy input counts
+``num_partitions``. Coalescing also bounds the sort's per-block
+scheduling cost, which does not depend on data size.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _num_blocks(num_keys: int) -> int:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 — no Ray session to ask
         ncpu = 8
-    return min(max(num_keys, 1), max(2, min(2 * ncpu, num_keys // 8)))
+    return max(1, min(2 * ncpu, num_keys // 8))
 
 
 def coalesced_map_groups(
@@ -129,6 +132,10 @@ def keyed_partition_map_groups(
     must reduce per key itself; the partition column is dropped before
     ``fn`` sees the rows."""
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
+    # a row holds one partition id, so an input whose row count Ray knows
+    # without running it has at most that many distinct ids
+    rows = ds._meta_count()
+    num_keys = num_partitions if rows is None else min(num_partitions, rows)
 
     def add_part(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -140,7 +147,7 @@ def keyed_partition_map_groups(
 
     return coalesced_map_groups(
         ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True),
-        _PART, wrapped, num_keys=num_partitions,
+        _PART, wrapped, num_keys=num_keys,
     )
 
 

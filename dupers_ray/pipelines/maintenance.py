@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 from dupers_ray.functions.grouping import arrow_schema, cogroup
 from dupers_ray.pipelines.joins import small_side
@@ -37,18 +37,21 @@ def counts_by_bucket(ds: "ray.data.Dataset", *, bucket_col: str = "bucket",
 
     Pre-aggregates inside map_batches (one partial row per bucket per batch)
     so the groupby shuffles partials, not rows."""
-    aggs = [Count(alias_name="n")]
-    cols = {bucket_col: "first"}
-    if size_col:
-        aggs.append(Sum(size_col, alias_name="total_bytes"))
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        gb = df.groupby(bucket_col, sort=False)
-        out = gb.size().rename("n").to_frame()
+        # rows with a null bucket count nowhere (Arrow's group_by would
+        # make them a group); an all-null size sums to 0, not null. The
+        # options are built here because they do not pickle.
+        batch = batch.filter(pc.is_valid(batch.column(bucket_col)))
+        specs = [([], "count_all")]
         if size_col:
-            out["total_bytes"] = gb[size_col].sum()
-        return pa.Table.from_pandas(out.reset_index(), preserve_index=False)
+            specs.append((size_col, "sum", pc.ScalarAggregateOptions(min_count=0)))
+        out = batch.group_by(bucket_col).aggregate(specs)
+        if size_col:
+            return out.select([bucket_col, "count_all", f"{size_col}_sum"]) \
+                .rename_columns([bucket_col, "n", "total_bytes"])
+        return out.select([bucket_col, "count_all"]) \
+            .rename_columns([bucket_col, "n"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     aggs2 = [Sum("n", alias_name="n")]

@@ -625,6 +625,32 @@ def test_partitioned_aggregate_null_key_and_all_null_sum():
     assert got == [(None, 7), (1, 0), (2, 5)]
 
 
+def test_counts_by_bucket_skips_null_buckets():
+    """A null bucket counts nowhere (the pandas groupby the per-batch
+    partial replaced dropped it); a bucket whose sizes are all null sums
+    to 0."""
+    from dupers_ray.pipelines.maintenance import counts_by_bucket
+
+    t = pa.table({"b": pa.array(["x", None, "y", "x", None, "z"]),
+                  "s": pa.array([1, 2, None, 4, 5, 6], pa.int64())})
+    got = counts_by_bucket(rd.from_arrow(_shredded(t)), bucket_col="b",
+                           size_col="s")
+    assert _rows(got) == [("x", 2, 5), ("y", 1, 0), ("z", 1, 6)]
+    assert _rows(counts_by_bucket(rd.from_arrow(t), bucket_col="b")) == [
+        ("x", 2), ("y", 1), ("z", 1)]
+
+
+def test_small_keyed_group_map_emits_no_schema_less_block():
+    """A handful of rows under the default 256-way partitioning: every
+    output block keeps the schema, none is an empty range of the sort."""
+    t = pa.table({"k": [3, 14, 15, 92, 65, 35], "v": [1, 2, 3, 4, 5, 6]})
+    out = keyed_partition_map_groups(rd.from_arrow(t), "k", lambda g: g)
+    blocks = ray.get(out.to_arrow_refs())
+    assert all(b.schema.names == ["k", "v"] for b in blocks), \
+        [b.schema.names for b in blocks]
+    assert _rows(pa.concat_tables(blocks)) == _rows(t)
+
+
 def test_to_arrow_table_converts_mixed_blocks():
     """A Dataset whose first block is Arrow and second is pandas: the raw
     ``to_arrow_refs`` hands back the pandas frame as is; the helper gives
