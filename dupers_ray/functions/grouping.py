@@ -1,6 +1,6 @@
 """Grouped execution — the only module that calls Ray's ``map_groups``.
 
-Three layers share ONE block-layout rule:
+Three layers, one grouping primitive (:func:`coalesced_map_groups`):
 
 - :func:`coalesced_map_groups` — ``groupby(key).map_groups(fn)`` with
   ``fn`` called once per distinct key value. For small semantic keys
@@ -21,14 +21,21 @@ also when it has 0 rows (a partition with no pairs, no duplicates, no
 survivors). One output schema per operator keeps block concatenation,
 unions and ``to_arrow_refs`` consumers independent of block layout.
 
-The exchange is Ray's sort-based groupby on an int key; the hash
-partitioner is :func:`_partition_ids` (the vectorized string hash for
-string columns, one 64-bit mix for everything else). ``repartition(
-keys=...)``/hash shuffle is not used: it reserves CPUs per operator and
-deadlocks chained operators on small clusters.
+Two routes. :func:`coalesced_map_groups` materializes its input and reads
+the input's byte size from block metadata. At most
+:data:`LOCAL_GROUP_BYTES`: ONE Ray task concatenates the blocks, sorts
+them by key and calls ``fn`` per key value, and its one Arrow block is
+the output — a sort exchange's fixed costs (sample, map, reduce tasks)
+dominate small inputs, and grouping a few MB in one task is cheaper than
+scheduling them. Above the limit: Ray's sort-based groupby on the key.
+The hash partitioner is :func:`_partition_ids` (the vectorized string
+hash for string columns, one 64-bit mix for everything else).
+``repartition(keys=...)``/hash shuffle is not used: it reserves CPUs per
+operator and deadlocks chained operators on small clusters.
 
-The layout rule: before the sort, the input is coalesced to
-``max(1, min(2·CPUs, num_keys // 8))`` blocks. Ray's sort emits one
+The layout rule of the sort route: before the sort, the input is
+coalesced to ``max(1, min(2·CPUs, num_keys // 8))`` blocks, ``num_keys``
+capped by the input's row count (a key needs a row). Ray's sort emits one
 output partition per INPUT block; when reducers approach the
 distinct-key count the sampled range boundaries duplicate and the empty
 ranges materialize as schema-less blocks (`RefBundle with a different
@@ -36,12 +43,8 @@ schema` warnings, a schema hazard for downstream unions and block
 concatenation). Eight keys per reducer (boundaries are ~10-sample
 quantiles per reducer) was observed collision-free across full bench
 runs, so fewer than 16 keys get a single reducer; the cap keeps >= 2
-blocks/CPU at the usual 256-way fan-outs. A keyed partition map counts
-``min(num_partitions, rows)`` keys when Ray knows the input's row count
-without running it (a materialized or in-memory input), so a handful of
-rows is not spread over empty ranges; a lazy input counts
-``num_partitions``. Coalescing also bounds the sort's per-block
-scheduling cost, which does not depend on data size.
+blocks/CPU at the usual 256-way fan-outs. Coalescing also bounds the
+sort's per-block scheduling cost, which does not depend on data size.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ from dupers_ray.functions.hashing import hash_str_keys, splitmix64
 from dupers_ray.functions.pairs import run_starts
 
 DEFAULT_GROUP_PARTITIONS = 256
+
+# Inputs of at most this many bytes (block metadata) are grouped by one
+# Ray task instead of the sort exchange. Read at call time (never bound as
+# a default argument), so one assignment moves every group map; 0 sends
+# every non-empty input through the exchange.
+LOCAL_GROUP_BYTES = 32 << 20
 
 _PART = "__part"
 _SIDE = "__side"
@@ -79,14 +88,49 @@ def coalesced_map_groups(
     *,
     num_keys: int,
 ) -> "ray.data.Dataset":
-    """``ds.groupby(key).map_groups(fn)`` after coalescing ``ds`` under
-    the module's layout rule. ``num_keys``: the (approximate) distinct-key
-    cardinality. ``fn`` is called once per key value."""
+    """``ds.groupby(key).map_groups(fn)``: ``fn`` is called once per key
+    value. ``num_keys``: the (approximate) distinct-key cardinality,
+    which sizes the sort route's layout. The input is materialized;
+    at most :data:`LOCAL_GROUP_BYTES` of it is grouped by one task (a
+    0-row input with a schema gives ``fn``'s typed 0-row output, a
+    schema-less one stays empty), more goes through the sort exchange."""
+    ds = ds.materialize()
+    rows = ds.count()
+    size = ds.size_bytes()
+    if size is None or size > LOCAL_GROUP_BYTES:
+        return _sort_map_groups(ds, key, fn, num_keys=min(num_keys, rows))
+    if not rows and ds.schema() is None:
+        return ds
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0 or not rows]
+    return ray.data.from_arrow_refs(_local_map_groups.remote(key, fn, *refs))
+
+
+def _sort_map_groups(ds, key: str, fn, *, num_keys: int):
+    """The sort exchange, after coalescing under the layout rule."""
     return (
         ds.repartition(_num_blocks(num_keys))
         .groupby(key)
         .map_groups(fn, batch_format="pyarrow")
     )
+
+
+@ray.remote
+def _local_map_groups(key: str, fn, *blocks) -> pa.Table:
+    """The one-task route: every block, sorted by ``key``, ``fn`` once
+    per key value (a null key is one group), one output table."""
+    t = pa.concat_tables(
+        [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
+         if t.num_columns],
+        promote_options="permissive")
+    if not t.num_rows:
+        return fn(t)
+    t = t.sort_by(key)
+    starts = np.flatnonzero(run_starts(key_codes(t.column(key))))
+    ends = np.append(starts[1:], t.num_rows)
+    return pa.concat_tables(
+        [fn(t.slice(s, e - s)) for s, e in zip(starts, ends)],
+        promote_options="permissive")
 
 
 def _key_u64(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -132,10 +176,6 @@ def keyed_partition_map_groups(
     must reduce per key itself; the partition column is dropped before
     ``fn`` sees the rows."""
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
-    # a row holds one partition id, so an input whose row count Ray knows
-    # without running it has at most that many distinct ids
-    rows = ds._meta_count()
-    num_keys = num_partitions if rows is None else min(num_partitions, rows)
 
     def add_part(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -147,7 +187,7 @@ def keyed_partition_map_groups(
 
     return coalesced_map_groups(
         ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True),
-        _PART, wrapped, num_keys=num_keys,
+        _PART, wrapped, num_keys=num_partitions,
     )
 
 

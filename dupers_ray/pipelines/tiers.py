@@ -14,15 +14,18 @@ corpus document with the FIRST tier that removes it:
     kept        survived all tiers (incl. empty/token-less docs, which no
                 tier can claim)
 
-Scale shape — ONE text scan, then id-width shuffles:
+Scale shape — ONE text scan, then id-width group maps:
 
 - a fused batch kernel computes the raw digest, the normalized digest and
   the MinHash signature in a single pass over the text (the signature
   table is the same store the incremental flagship persists); the fused
   table is materialized once and reused by every tier.
-- tiers 1+2 are a CHAIN of two groupbys over 40-byte projections
-  (digest-hash then norm-hash); the exact-removal flag rides along to the
-  second groupby, so no intermediate anti-join exists at all.
+- tiers 1+2 are ONE group map over 40-byte projections keyed by the
+  norm hash: raw-digest groups nest inside norm groups, so both min-id
+  resolutions happen per partition and no intermediate anti-join exists.
+  Like every group map (functions/grouping.py) it runs as one Ray task
+  while its input is at most ``grouping.LOCAL_GROUP_BYTES`` (some 800 k
+  40-byte rows), and as a sort exchange above that.
 - the survivor filter before the near tier is ``maintenance.anti_join_auto``
   on the removed-id set (duplicates only): broadcast while it is small,
   the hash-partitioned anti-join for massively duplicated corpora — the

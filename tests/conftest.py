@@ -63,3 +63,25 @@ def force_cogroup(monkeypatch):
         return calls
 
     return apply
+
+
+@pytest.fixture
+def force_exchange(monkeypatch):
+    """Call to push every group map onto the sort exchange
+    (``grouping.LOCAL_GROUP_BYTES = 0``). Returns the call count of the
+    sort route, ``calls["sort"]``, so a test can prove the exchange ran
+    instead of comparing the one-task route with itself."""
+    from dupers_ray.functions import grouping
+
+    def apply() -> dict:
+        calls = {"sort": 0}
+
+        def sort_spy(*a, _real=grouping._sort_map_groups, **k):
+            calls["sort"] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(grouping, "_sort_map_groups", sort_spy)
+        monkeypatch.setattr(grouping, "LOCAL_GROUP_BYTES", 0)
+        return calls
+
+    return apply

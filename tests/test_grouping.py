@@ -3,9 +3,13 @@
 Every layer must give the same answer whatever the input block layout:
 one block, Ray's default split, or a shredded layout of one-row and empty
 blocks (the layout that split a join group in the round-5 recrawl_queue
-red). Expected values come from driver-side pandas / pyarrow.
+red) — and on both routes: small test inputs take the one-task route,
+``TestSortExchange`` reruns the layout tests on the sort exchange.
+Expected values come from driver-side pandas / pyarrow.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -19,6 +23,8 @@ import ray.data as rd
 from dupers_ray.functions.grouping import (
     coalesced_map_groups,
     keyed_partition_map_groups,
+    partitioned_aggregate,
+    to_arrow_table,
 )
 from dupers_ray.pipelines.joins import cogroup_join, sorted_str_lookup
 from dupers_ray.pipelines.maintenance import anti_join_shuffle
@@ -56,9 +62,9 @@ def _sorted(rows) -> list[tuple]:
 
 
 def test_coalesced_map_groups_exact():
-    """Coalescing before a sort-groupby changes block layout only — the
-    grouped result is identical, ``fn`` sees one key per call, and output
-    blocks are all typed."""
+    """The route (one task, or a coalesced sort-groupby) changes block
+    layout only — the grouped result is identical, ``fn`` sees one key
+    per call, and output blocks are all typed."""
     tbl = pa.table({
         "__part": pa.array((np.arange(1000) % 64).astype(np.int64)),
         "v": pa.array(np.arange(1000, dtype=np.int64)),
@@ -649,6 +655,98 @@ def test_small_keyed_group_map_emits_no_schema_less_block():
     assert all(b.schema.names == ["k", "v"] for b in blocks), \
         [b.schema.names for b in blocks]
     assert _rows(pa.concat_tables(blocks)) == _rows(t)
+
+
+@pytest.fixture
+def exchange_only(force_exchange):
+    calls = force_exchange()
+    yield
+    assert calls["sort"], "the sort exchange never ran"
+
+
+@pytest.mark.usefixtures("exchange_only")
+class TestSortExchange:
+    """The layout tests above, rerun with ``LOCAL_GROUP_BYTES = 0``: every
+    group map goes through the sort exchange, whose layout rule they
+    pin (typed blocks, no empty sort ranges)."""
+
+    test_coalesced_map_groups_exact = staticmethod(
+        test_coalesced_map_groups_exact)
+    test_keyed_partition_map_groups_reduces_every_key_once = staticmethod(
+        test_keyed_partition_map_groups_reduces_every_key_once)
+    test_cogroup_join_layout_independent = staticmethod(
+        test_cogroup_join_layout_independent)
+    test_anti_join_shuffle_layout_independent = staticmethod(
+        test_anti_join_shuffle_layout_independent)
+    test_single_key_group_map_emits_typed_blocks = staticmethod(
+        test_single_key_group_map_emits_typed_blocks)
+    test_small_keyed_group_map_emits_no_schema_less_block = staticmethod(
+        test_small_keyed_group_map_emits_no_schema_less_block)
+
+
+def _fused_projection(n: int = 300) -> pa.Table:
+    """``tiers._resolve_exact_norm``'s input: raw digests nest inside
+    normalized digests, some texts and normalizations empty."""
+    i = np.arange(n)
+    digest = (i * 7919 % 50).astype(np.uint64)
+    norm = digest % np.uint64(20)
+    return pa.table({
+        "doc_id": pa.array(i[::-1].copy(), pa.int64()),
+        "digest_u64": digest, "digest_u64b": digest + np.uint64(1),
+        "norm_u64": norm, "norm_u64b": norm * np.uint64(3),
+        "txt_empty": i % 37 == 0, "norm_empty": i % 41 == 0,
+    })
+
+
+def _route_cases() -> dict:
+    from dupers_ray.pipelines.tiers import _resolve_exact_norm
+
+    fused = _fused_projection()
+    nulls = pa.table({"k": pa.array([1, None, None, 2, 2, 3], pa.int64()),
+                      "v": pa.array([None, 3, 4, 5, None, None], pa.int64())})
+    right = pa.table({"id": pa.array([0, 0, 3, 3, 3, 9, 40], pa.int64()),
+                      "rv": pa.array(np.arange(7) + 100, pa.int64())})
+
+    def split(t: pa.Table) -> "rd.Dataset":
+        return rd.from_arrow([t.slice(i, 40) for i in range(0, t.num_rows, 40)])
+
+    return {
+        "resolve_exact_norm": lambda: keyed_partition_map_groups(
+            split(fused), "norm_u64",
+            partial(_resolve_exact_norm, id_col="doc_id"), num_partitions=64),
+        "aggregate_null_key": lambda: partitioned_aggregate(
+            rd.from_arrow(_shredded(nulls)), "k", sums=("v",),
+            num_partitions=4),
+        "join_inner": lambda: cogroup_join(
+            rd.from_arrow(_LEFT), rd.from_arrow(_shredded(right)), on="id"),
+        "join_left": lambda: cogroup_join(
+            rd.from_arrow(_LEFT), rd.from_arrow(_shredded(right)), on="id",
+            how="left"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_route_cases()))
+def test_group_routes_agree(case, force_exchange):
+    """The one-task route and the sort exchange return the same row
+    multiset."""
+    one_task = _rows(_route_cases()[case]())
+    assert one_task
+    calls = force_exchange()
+    assert _rows(_route_cases()[case]()) == one_task
+    assert calls["sort"]
+
+
+def test_one_task_route_empty_input_is_typed():
+    """A 0-row input with a schema gives the group function's typed 0-row
+    output, not an empty schema-less Dataset."""
+    from dupers_ray.pipelines.tiers import _resolve_exact_norm
+
+    out = to_arrow_table(coalesced_map_groups(
+        rd.from_arrow(_fused_projection().slice(0, 0)), "norm_u64",
+        partial(_resolve_exact_norm, id_col="doc_id"), num_keys=64))
+    assert out.num_rows == 0
+    assert out.schema.names == ["doc_id", "r_exact", "r_norm"]
+    assert out.schema.types == [pa.int64(), pa.bool_(), pa.bool_()]
 
 
 def test_to_arrow_table_converts_mixed_blocks():

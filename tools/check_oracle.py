@@ -11,12 +11,17 @@ seconds and the checker's peak RSS so far (the DuckDB oracles run in this
 process). Usage:
 
   python tools/check_oracle.py [sf_dir] [name ...] [--sf=DIR] [--only a,b]
+                               [--zero-limits]
 
 A positional argument that is a directory is the sf_dir (default: the
 sf0.01 test data); any other positional argument is a query name, and
 names (or ``--only``) restrict the run to those entries. ``--all`` (the
-default) checks every entry. ``--never-driver-checked`` lists registry
-entries no driver round checked.
+default) checks every entry. ``--zero-limits`` sets the size limits of
+the small-input routes to 0 in this process (``joins.BROADCAST_ROWS``,
+``joins.PAIR_BROADCAST_ROWS``, ``grouping.LOCAL_GROUP_BYTES``), so every
+count-gated join, pair gather and group map takes its shuffle route —
+test data this small otherwise never reaches it.
+``--never-driver-checked`` lists registry entries no driver round checked.
 """
 
 from __future__ import annotations
@@ -155,6 +160,16 @@ def _check(name: str, fn, oracle: str | None, sf_dir: str, con) -> str:
     return f"PASS {name}: rows={len(got)}"
 
 
+def zero_limits() -> None:
+    """Send every size-gated route onto its shuffle: cogroup joins,
+    cogroup pair gathers and the sort-exchange group map."""
+    from dupers_ray.functions import grouping
+    from dupers_ray.pipelines import joins
+
+    joins.BROADCAST_ROWS = joins.PAIR_BROADCAST_ROWS = 0
+    grouping.LOCAL_GROUP_BYTES = 0
+
+
 def main(sf_dir: str, only: set[str] | None = None) -> int:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
@@ -194,6 +209,9 @@ def main(sf_dir: str, only: set[str] | None = None) -> int:
 
 if __name__ == "__main__":
     args = [a for a in sys.argv[1:] if a != "--all"]
+    if "--zero-limits" in args:
+        args.remove("--zero-limits")
+        zero_limits()
     if "--never-driver-checked" in args:
         names = never_driver_checked()
         print("\n".join(names))
