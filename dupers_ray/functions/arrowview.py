@@ -34,15 +34,25 @@ def binary_matrix(col: "pa.ChunkedArray | pa.Array", dtype) -> np.ndarray:
     if n == 0:
         return np.empty((0, 0), dtype)
     if col.null_count == 0:
-        bufs = col.buffers()
-        osize = 8 if pa.types.is_large_binary(col.type) else 4
-        otype = np.int64 if osize == 8 else np.int32
-        off = np.frombuffer(bufs[1], otype)[col.offset : col.offset + n + 1]
+        off, data = value_buffers(col)
         w = off[1] - off[0]
         if w > 0 and w % dtype.itemsize == 0 and (np.diff(off) == w).all():
-            data = np.frombuffer(bufs[2], np.uint8)[off[0] : off[-1]]
-            return data.view(dtype).reshape(n, -1)
+            return data[off[0] : off[-1]].view(dtype).reshape(n, -1)
     flat = np.frombuffer(
         b"".join(v or b"" for v in col.to_pylist()), dtype
     )
     return flat.reshape(n, -1)
+
+
+def value_buffers(col: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, data) numpy views of a string/binary array's buffers:
+    ``len(col) + 1`` offsets (int32 or int64, the slice's own window, so
+    row ``i`` is ``data[offsets[i]:offsets[i + 1]]``) and the whole data
+    buffer as uint8. Zero-copy; a null row's bytes are unspecified."""
+    bufs = col.buffers()
+    large = pa.types.is_large_binary(col.type) or pa.types.is_large_string(
+        col.type)
+    off = np.frombuffer(bufs[1], np.int64 if large else np.int32)
+    data = (np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None
+            else np.empty(0, np.uint8))
+    return off[col.offset : col.offset + len(col) + 1], data

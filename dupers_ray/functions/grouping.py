@@ -27,24 +27,26 @@ the input's byte size from block metadata. At most
 them by key and calls ``fn`` per key value, and its one Arrow block is
 the output — a sort exchange's fixed costs (sample, map, reduce tasks)
 dominate small inputs, and grouping a few MB in one task is cheaper than
-scheduling them. Above the limit: Ray's sort-based groupby on the key.
+scheduling them. Above the limit: Ray's sort exchange, on a reducer id.
 The hash partitioner is :func:`_partition_ids` (the vectorized string
 hash for string columns, one 64-bit mix for everything else).
 ``repartition(keys=...)``/hash shuffle is not used: it reserves CPUs per
 operator and deadlocks chained operators on small clusters.
 
-The layout rule of the sort route: before the sort, the input is
-coalesced to ``max(1, min(2·CPUs, num_keys // 8))`` blocks, ``num_keys``
-capped by the input's row count (a key needs a row). Ray's sort emits one
-output partition per INPUT block; when reducers approach the
-distinct-key count the sampled range boundaries duplicate and the empty
-ranges materialize as schema-less blocks (`RefBundle with a different
-schema` warnings, a schema hazard for downstream unions and block
-concatenation). Eight keys per reducer (boundaries are ~10-sample
-quantiles per reducer) was observed collision-free across full bench
-runs, so fewer than 16 keys get a single reducer; the cap keeps >= 2
-blocks/CPU at the usual 256-way fan-outs. Coalescing also bounds the
-sort's per-block scheduling cost, which does not depend on data size.
+The layout rule of the sort route: the input's rows per distinct key are
+counted first (one task per block), and the sorted keys are cut into
+``min(2·CPUs, distinct keys)`` contiguous ranges of about equal row
+counts, each holding at least one key; every row is tagged with its
+range's reducer id and the sort partitions on that id with explicit
+boundaries. Ray's own sampled boundaries duplicate when reducers approach
+the distinct-key count or one key holds most rows, and the empty ranges
+materialize as schema-less blocks (`RefBundle with a different schema`
+warnings, a schema hazard for downstream unions and block
+concatenation); exact ranges leave no reducer empty. Each reducer's block
+is then grouped by one Ray task like the one-task route's input, so both
+routes call ``fn`` the same way, and 0-row outputs are dropped unless
+every output is empty (a Ray Data map turns a 0-row block into a
+schema-less one).
 """
 
 from __future__ import annotations
@@ -71,58 +73,112 @@ LOCAL_GROUP_BYTES = 32 << 20
 _PART = "__part"
 _SIDE = "__side"
 _RIGHT = "__r."  # prefix of right-side columns inside a cogroup
+_REDUCER = "__reducer"  # a row's reducer on the sort route
 
 
-def _num_blocks(num_keys: int) -> int:
+def _num_reducers(distinct_keys: int) -> int:
     try:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 — no Ray session to ask
         ncpu = 8
-    return max(1, min(2 * ncpu, num_keys // 8))
+    return max(1, min(2 * ncpu, distinct_keys))
 
 
 def coalesced_map_groups(
     ds: "ray.data.Dataset",
     key: str,
     fn,
-    *,
-    num_keys: int,
 ) -> "ray.data.Dataset":
     """``ds.groupby(key).map_groups(fn)``: ``fn`` is called once per key
-    value. ``num_keys``: the (approximate) distinct-key cardinality,
-    which sizes the sort route's layout. The input is materialized;
-    at most :data:`LOCAL_GROUP_BYTES` of it is grouped by one task (a
-    0-row input with a schema gives ``fn``'s typed 0-row output, a
-    schema-less one stays empty), more goes through the sort exchange."""
+    value. The input is materialized; at most :data:`LOCAL_GROUP_BYTES`
+    of it is grouped by one task (a 0-row input with a schema gives
+    ``fn``'s typed 0-row output, a schema-less one stays empty), more
+    goes through the sort exchange."""
     ds = ds.materialize()
     rows = ds.count()
-    size = ds.size_bytes()
-    if size is None or size > LOCAL_GROUP_BYTES:
-        return _sort_map_groups(ds, key, fn, num_keys=min(num_keys, rows))
     if not rows and ds.schema() is None:
         return ds
     refs = [ref for bundle in ds.iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows != 0 or not rows]
+    size = ds.size_bytes()
+    if rows and (size is None or size > LOCAL_GROUP_BYTES):
+        return _sort_map_groups(refs, key, fn)
     return ray.data.from_arrow_refs(_local_map_groups.remote(key, fn, *refs))
 
 
-def _sort_map_groups(ds, key: str, fn, *, num_keys: int):
-    """The sort exchange, after coalescing under the layout rule."""
-    return (
-        ds.repartition(_num_blocks(num_keys))
-        .groupby(key)
-        .map_groups(fn, batch_format="pyarrow")
+def _sort_map_groups(refs: list, key: str, fn) -> "ray.data.Dataset":
+    """The sort exchange over the non-empty input blocks ``refs``, under
+    the layout rule: exact key ranges, one reducer each."""
+    counts = pa.concat_tables(
+        ray.get([_key_counts.remote(key, ref) for ref in refs]),
+        promote_options="permissive",
+    ).group_by(key).aggregate([("n", "sum")]).sort_by(key)
+    n = counts.column("n_sum").to_numpy()
+    cut = (np.cumsum(n) - n) * _num_reducers(len(n)) // n.sum()
+    reducer = np.unique(cut, return_inverse=True)[1]
+    n_red = int(reducer[-1]) + 1
+    keys = ray.put(counts.column(key).combine_chunks())
+    reducer_ref = ray.put(reducer)
+    tagged = [_tag_reducer.remote(key, keys, reducer_ref, ref) for ref in refs]
+    parts = (
+        ray.data.from_arrow_refs(tagged)
+        .repartition(n_red)
+        .sort(_REDUCER, boundaries=list(range(1, n_red)))
+        .materialize()
     )
+    # one task per reducer block, outside Ray Data's map operator, and
+    # 0-row outputs dropped unless all are: a map turns a 0-row block,
+    # typed or not, into a schema-less one
+    out = ray.data.from_arrow_refs([
+        _reducer_map_groups.remote(key, fn, ref)
+        for bundle in parts.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks if meta.num_rows])
+    blocks = [(ref, meta.num_rows) for bundle in out.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks]
+    return ray.data.from_arrow_refs(
+        [ref for ref, rows in blocks if rows] or [blocks[0][0]])
+
+
+@ray.remote
+def _key_counts(key: str, block) -> pa.Table:
+    """(key, n): rows per distinct ``key`` value of one block."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    return t.group_by(key).aggregate([([], "count_all")]).rename_columns(
+        [key, "n"])
+
+
+@ray.remote
+def _tag_reducer(key: str, keys: pa.Array, reducer: np.ndarray,
+                 block) -> pa.Table:
+    """One block with its rows' reducer ids appended: ``reducer[i]`` for
+    a row whose key is ``keys[i]`` (a null key matches the null entry)."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    idx = pc.index_in(t.column(key), value_set=keys)
+    return t.append_column(
+        _REDUCER, pa.array(reducer[idx.to_numpy(zero_copy_only=False)]))
+
+
+@ray.remote
+def _reducer_map_groups(key: str, fn, block) -> pa.Table:
+    """One reducer's block of the sort route: every row of its keys,
+    grouped."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    return _map_sorted_groups(t.drop_columns([_REDUCER]), key, fn)
 
 
 @ray.remote
 def _local_map_groups(key: str, fn, *blocks) -> pa.Table:
-    """The one-task route: every block, sorted by ``key``, ``fn`` once
-    per key value (a null key is one group), one output table."""
-    t = pa.concat_tables(
+    """The one-task route: every block, grouped in one table."""
+    return _map_sorted_groups(pa.concat_tables(
         [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
          if t.num_columns],
-        promote_options="permissive")
+        promote_options="permissive"), key, fn)
+
+
+def _map_sorted_groups(t: pa.Table, key: str, fn) -> pa.Table:
+    """``t`` sorted by ``key``, ``fn`` once per key value (a null key is
+    one group), one output table; a 0-row ``t`` gives ``fn``'s typed
+    0-row output."""
     if not t.num_rows:
         return fn(t)
     t = t.sort_by(key)
@@ -187,7 +243,7 @@ def keyed_partition_map_groups(
 
     return coalesced_map_groups(
         ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True),
-        _PART, wrapped, num_keys=num_partitions,
+        _PART, wrapped,
     )
 
 

@@ -41,17 +41,48 @@ def sha256_hex_many(items: Iterable[bytes]) -> list[str]:
     return [sha(b).hexdigest() for b in items]
 
 
-def sha256_u64_pairs(items: "Iterable[bytes]") -> tuple[np.ndarray, np.ndarray]:
-    """(first-8-bytes, second-8-bytes) of each SHA-256 as uint64 arrays
-    (big-endian) — one frombuffer instead of two per-row hex parses;
-    byte-identical to ``hex_prefix_u64`` + ``int(hex[16:32], 16)``."""
+def sha256_digests(col) -> np.ndarray:
+    """(n, 32) uint8 SHA-256 of each value of an Arrow string/binary
+    column (its UTF-8 bytes; a null hashes as b""). The bytes come straight
+    from the Arrow data buffer — no str decode and re-encode per row."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from dupers_ray.functions.arrowview import value_buffers
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if not len(col):
+        return np.empty((0, 32), np.uint8)
+    if col.null_count:
+        col = pc.fill_null(col, pa.scalar(b"", col.type))
+    off, data = value_buffers(col)
+    mv = memoryview(data)
     sha = hashlib.sha256
-    blob = b"".join(sha(b).digest()[:16] for b in items)
-    if not blob:
-        e = np.empty(0, np.uint64)
-        return e, e.copy()
-    arr = np.frombuffer(blob, ">u8").reshape(-1, 2).astype(np.uint64)
-    return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+    o = off.tolist()
+    blob = b"".join(sha(mv[a:b]).digest() for a, b in zip(o[:-1], o[1:]))
+    return np.frombuffer(blob, np.uint8).reshape(-1, 32)
+
+
+def digest_words(digests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) big-endian uint64 word of each ``sha256_digests``
+    row — the exact-dup keys; byte-identical to ``hex_prefix_u64`` and
+    ``int(hex[16:32], 16)`` of the hex digest."""
+    w = digests[:, :16].copy().view(">u8").astype(np.uint64)
+    return np.ascontiguousarray(w[:, 0]), np.ascontiguousarray(w[:, 1])
+
+
+def digest_hex(digests: np.ndarray):
+    """Lowercase hex string column of ``sha256_digests`` rows (equal to
+    ``hexdigest()``), built from one ``bytes.hex()`` over the block."""
+    import pyarrow as pa
+
+    n = len(digests)
+    return pa.Array.from_buffers(
+        pa.string(), n,
+        [None, pa.py_buffer(np.arange(0, 64 * (n + 1), 64, dtype=np.int32)),
+         pa.py_buffer(digests.tobytes().hex().encode("ascii"))],
+    )
 
 
 def hex_prefix_u64(hex_digests: Sequence[str]) -> np.ndarray:
@@ -88,7 +119,7 @@ def hash_str_u64(values: Sequence[str]) -> np.ndarray:
     in DuckDB (``('0x' || substr(md5(tok), 1, 16))::UBIGINT``), which lets
     simhash / fingerprint queries carry FULL value oracles. hashlib.md5
     runs at C speed per call (~0.25 µs; hashing is per *unique* token in
-    the callers, folded through factorize/dict interning)."""
+    the callers, folded through dictionary_encode/factorize interning)."""
     md5 = hashlib.md5
     ib = int.from_bytes
     return np.fromiter(

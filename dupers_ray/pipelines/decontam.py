@@ -267,9 +267,7 @@ def near_decontaminate(
             mh = MinHasher(shingle=shingle, minhash=minhash,
                            id_col=id_col, text_col=text_col)
             _NEAR_CACHE[key] = mh
-        texts = [s if s is not None else ""
-                 for s in t.column(text_col).to_pylist()]
-        sig, n_sh = mh.signatures(texts)
+        sig, n_sh = mh.signatures(t.column(text_col))
         if not sig.shape[0]:
             return t
         q = band_hashes(sig).reshape(-1)
@@ -374,7 +372,7 @@ def substring_decontaminate(
         drop = np.zeros(len(t), bool)
         # anchored blocklist texts: gram membership -> raw-in verify
         if len(anchors_s):
-            flat_, offs_ = mh._shingle_hashes(texts)
+            flat_, offs_ = mh._shingle_hashes(t.column(text_col))
             if flat_.size:
                 doc_of = np.repeat(np.arange(len(texts)), np.diff(offs_))
                 lo = np.searchsorted(anchors_s, flat_, side="left")
@@ -487,9 +485,7 @@ def near_contamination_report(
             mh = MinHasher(shingle=shingle, minhash=minhash,
                            id_col=id_col, text_col=text_col)
             _NEAR_CACHE[key] = mh
-        texts = [s if s is not None else ""
-                 for s in t.column(text_col).to_pylist()]
-        sig, n_sh = mh.signatures(texts)
+        sig, n_sh = mh.signatures(t.column(text_col))
         if not sig.shape[0]:
             return empty()
         ids = t.column(id_col).to_numpy(zero_copy_only=False)[n_sh > 0]

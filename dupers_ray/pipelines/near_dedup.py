@@ -64,11 +64,13 @@ def _minhash_digest_batch(batch, *, shingle, minhash, id_col, text_col):
     second full corpus scan. Rows with null/empty text are dropped
     (ErrFileEmpty parity, dupe.go:47)."""
     from dupers_ray.functions.hashing import (
-        hex_prefix_u64,
+        digest_hex,
+        digest_words,
         node_ids,
-        sha256_hex_many,
+        sha256_digests,
     )
     from dupers_ray.stages.digest import drop_empty
+    from dupers_ray.stages.minhash import sig_column
 
     key = (shingle, minhash, id_col, text_col)
     mh = _MINHASHER_CACHE.get(key)
@@ -77,29 +79,18 @@ def _minhash_digest_batch(batch, *, shingle, minhash, id_col, text_col):
         _MINHASHER_CACHE[key] = mh
 
     b = drop_empty(batch, content_col=text_col)
-    ids = b.column(id_col).to_pylist()
-    texts = [t if t is not None else "" for t in b.column(text_col).to_pylist()]
+    texts = b.column(text_col)
     sig, n_sh = mh.signatures(texts)
-    keep = n_sh > 0
-    from dupers_ray.stages.minhash import pack_sig
-
-    sig_le = pack_sig(sig, minhash.sig_store if minhash else "u4")
-    sig_bytes: list[bytes | None] = [None] * len(ids)
-    ki = 0
-    for i, k in enumerate(keep):
-        if k:
-            sig_bytes[i] = sig_le[ki].tobytes()
-            ki += 1
-    hexes = sha256_hex_many([t.encode("utf-8") for t in texts])
-    u64b = np.array([int(h[16:32], 16) for h in hexes], dtype=np.uint64)
+    dig = sha256_digests(texts)
+    u64, u64b = digest_words(dig)
     return pa.table(
         {
             id_col: b.column(id_col),
-            "node": pa.array(node_ids([str(i) for i in ids])),
-            "sig": pa.array(sig_bytes, pa.binary()),
+            "node": pa.array(node_ids([str(i) for i in b.column(id_col).to_pylist()])),
+            "sig": sig_column(sig, n_sh > 0, minhash.sig_store if minhash else "u4"),
             "n_shingles": pa.array(n_sh.astype(np.int64)),
-            "digest": pa.array(hexes, pa.string()),
-            "digest_u64": pa.array(hex_prefix_u64(hexes)),
+            "digest": digest_hex(dig),
+            "digest_u64": pa.array(u64),
             # second sha word: (u64, u64b) keys exact-dup buckets with
             # 2^-128 collision probability — no in-group hex re-check needed
             "digest_u64b": pa.array(u64b),
@@ -436,11 +427,7 @@ def windowed_near_pairs(
             ts_arr = ts_arr.cast(pa.int64())
         ts = np.asarray(ts_arr, dtype=np.int64)
         ids = np.asarray(batch.column(id_col), dtype=np.int64)
-        texts = [
-            t if t is not None else ""
-            for t in batch.column(text_col).to_pylist()
-        ]
-        sig, n_sh = mh.signatures(texts)
+        sig, n_sh = mh.signatures(batch.column(text_col))
         keep = n_sh > 0
         ids, ts = ids[keep], ts[keep]
         d = len(ids)

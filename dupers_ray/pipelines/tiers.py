@@ -73,9 +73,13 @@ def _fused_scan(batch: pa.Table, *, id_col: str, text_col: str,
     Venn shares this scan instead of re-reading the corpus (round-3
     verdict #5). Off by default: tiers-incremental persists this schema
     as its signature store."""
-    from dupers_ray.functions.hashing import node_ids, sha256_u64_pairs
+    from dupers_ray.functions.hashing import (
+        digest_words,
+        node_ids,
+        sha256_digests,
+    )
     from dupers_ray.pipelines.near_dedup import _MINHASHER_CACHE
-    from dupers_ray.stages.minhash import MinHasher
+    from dupers_ray.stages.minhash import MinHasher, sig_column
     from dupers_ray.stages.normalize import normalize_text
 
     key = ("tiers", shingle, minhash, id_col, text_col)
@@ -86,39 +90,12 @@ def _fused_scan(batch: pa.Table, *, id_col: str, text_col: str,
         _MINHASHER_CACHE[key] = mh
 
     ids = batch.column(id_col)
-    texts = [t if t is not None else ""
-             for t in batch.column(text_col).to_pylist()]
+    texts = batch.column(text_col)
     norm = normalize_text(batch.select([text_col]), text_col=text_col)
-    norm_texts = [t if t is not None else ""
-                  for t in norm.column("text_norm").to_pylist()]
 
-    dg_a, dg_b = sha256_u64_pairs(t.encode("utf-8") for t in texts)
-    nm_a, nm_b = sha256_u64_pairs(t.encode("utf-8") for t in norm_texts)
+    dg_a, dg_b = digest_words(sha256_digests(texts))
+    nm_a, nm_b = digest_words(sha256_digests(norm.column("text_norm")))
     sig, n_sh = mh.signatures(texts)
-    from dupers_ray.stages.minhash import pack_sig
-
-    # honor MinHashConfig.sig_store here too — otherwise the u2 bandwidth
-    # knob would silently no-op on the cascade/Venn paths (and a u2 delta
-    # against a u4 store trips sig_matrix's loud mixed-width error)
-    sig_le = pack_sig(sig, minhash.sig_store if minhash else "u4")
-    # scatter signatures into a full-batch FixedSizeBinary (one buffer
-    # build; nulls for token-less docs) — the former per-row tobytes loop
-    # was the hottest scan's Python residue (round-2 VERDICT 'wrong' #5)
-    n_rows = len(texts)
-    mask = n_sh > 0
-    if sig_le.size and mask.any():
-        width = sig_le.shape[1] * sig_le.dtype.itemsize
-        full = np.zeros((n_rows, sig_le.shape[1]), sig_le.dtype)
-        full[mask] = sig_le
-        fsb = pa.Array.from_buffers(
-            pa.binary(width), n_rows,
-            [pa.py_buffer(np.packbits(mask, bitorder="little").tobytes()),
-             pa.py_buffer(full.tobytes())],
-            null_count=int((~mask).sum()),
-        )
-        sig_arr = fsb.cast(pa.binary())
-    else:
-        sig_arr = pa.nulls(n_rows, pa.binary())
     extra: dict = {}
     if with_simhash:
         from dupers_ray.stages.simhash import simhash_values
@@ -132,7 +109,12 @@ def _fused_scan(batch: pa.Table, *, id_col: str, text_col: str,
         id_col: ids,
         **extra,
         "node": pa.array(node_ids([str(v) for v in ids.to_pylist()])),
-        "sig": sig_arr,
+        # honor MinHashConfig.sig_store here too — otherwise the u2
+        # bandwidth knob would silently no-op on the cascade/Venn paths
+        # (and a u2 delta against a u4 store trips sig_matrix's loud
+        # mixed-width error)
+        "sig": sig_column(sig, n_sh > 0,
+                          minhash.sig_store if minhash else "u4"),
         "n_shingles": pa.array(n_sh.astype(np.int64)),
         "digest_u64": pa.array(dg_a), "digest_u64b": pa.array(dg_b),
         "norm_u64": pa.array(nm_a), "norm_u64b": pa.array(nm_b),

@@ -126,7 +126,7 @@ def select_token_budget(
         })
 
     return coalesced_map_groups(
-        compact, "__bucket", resolve, num_keys=n_buckets
+        compact, "__bucket", resolve
     )
 
 
@@ -233,7 +233,7 @@ def select_mix_budget(
         })
 
     return coalesced_map_groups(
-        compact, "__sb", resolve, num_keys=(unknown + 1) * n_buckets,
+        compact, "__sb", resolve
     )
 
 
@@ -393,7 +393,7 @@ def layout_from_stats(
         })
 
     return coalesced_map_groups(
-        keyed, "__bucket", resolve, num_keys=n_buckets
+        keyed, "__bucket", resolve
     )
 
 

@@ -72,9 +72,7 @@ class _GramRows:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch.column(self.id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        texts = [t if t is not None else "" for t in
-                 batch.column(self.text_col).to_pylist()]
-        flat, offs = self.mh._shingle_hashes(texts)
+        flat, offs = self.mh._shingle_hashes(batch.column(self.text_col))
         seg_len = np.diff(offs)
         empty = pa.table({
             "gram": pa.array([], pa.int64()),

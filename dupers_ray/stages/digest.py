@@ -15,7 +15,7 @@ import pyarrow as pa
 
 import ray.data
 
-from dupers_ray.functions.hashing import hex_prefix_u64, sha256_hex_many
+from dupers_ray.functions.hashing import digest_hex, digest_words, sha256_digests
 
 
 def add_digests(batch: pa.Table, *, content_col: str = "text") -> pa.Table:
@@ -26,15 +26,9 @@ def add_digests(batch: pa.Table, *, content_col: str = "text") -> pa.Table:
     pkg/dupe/dupe.go:47 — empty rows are filtered upstream when parity with
     that behavior is wanted; see ``drop_empty``).
     """
-    col = batch.column(content_col)
-    if pa.types.is_large_string(col.type) or pa.types.is_string(col.type):
-        data = [s.encode("utf-8") if s is not None else b"" for s in col.to_pylist()]
-    else:
-        data = [b if b is not None else b"" for b in col.to_pylist()]
-    hexes = sha256_hex_many(data)
-    batch = batch.append_column("digest", pa.array(hexes, pa.string()))
-    batch = batch.append_column("digest_u64", pa.array(hex_prefix_u64(hexes)))
-    return batch
+    digests = sha256_digests(batch.column(content_col))
+    batch = batch.append_column("digest", digest_hex(digests))
+    return batch.append_column("digest_u64", pa.array(digest_words(digests)[0]))
 
 
 def drop_empty(batch: pa.Table, *, content_col: str = "text") -> pa.Table:

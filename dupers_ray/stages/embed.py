@@ -362,7 +362,7 @@ def knn_graph_ivf(
         })
 
     partials = coalesced_map_groups(
-        routed, "cell", cell_topk, num_keys=len(cents)
+        routed, "cell", cell_topk
     )
     return _final_topk(partials, k=k, id_col=id_col)
 

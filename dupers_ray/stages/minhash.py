@@ -6,15 +6,22 @@ scaled near-duplicate generalization: k-shingle → MinHash signature → LSH
 band buckets → candidate pairs (Broder's MinHash / banded LSH as described
 in the published literature, e.g. Mining of Massive Datasets ch.3).
 
-``MinHasher`` is a STATEFUL actor-pool stage: permutation parameters and
-the compiled tokenizer are built once per actor in ``__init__`` and reused
-per batch (SURVEY.md §2.3 ST2). All per-batch math is vectorized numpy:
+``MinHasher`` is a STATEFUL actor-pool stage: permutation parameters are
+built once per actor in ``__init__`` and reused per batch (SURVEY.md §2.3
+ST2). It takes the Arrow text column as is, and all per-batch math is
+vectorized numpy:
 
-- tokens are hashed once per *unique* token in the batch (np.unique folds
-  the batch vocabulary), shingle hashes are a rolling polynomial over the
-  flattened token-hash array, and signatures come from perm-chunked
-  ``np.minimum.reduceat`` over per-doc segments — no Python loop over
-  shingles or permutations per doc.
+- :func:`token_hashes` tokenizes ASCII documents in numpy over the Arrow
+  string buffers (a word-byte table, runs cut at document boundaries, a
+  lowercase table), interns the tokens with ``pc.dictionary_encode`` and
+  MD5-hashes each distinct token once. Non-ASCII documents and custom
+  token patterns take the ``re`` reference path in the same function;
+  both give the same token hashes, so signatures do not depend on which
+  path a document took.
+- shingle hashes are a rolling polynomial over the flattened token-hash
+  array, and signatures come from perm-chunked ``np.minimum.reduceat``
+  over per-doc segments — no Python loop over shingles or permutations
+  per doc.
 - universal hash family h_i(x) = (a_i*x + b_i) mod (2^31-1) over 32-bit
   folded shingle hashes: a_i*x + b_i < 2^63 so everything stays in uint64
   without 128-bit tricks. Signature values are uint32.
@@ -39,6 +46,144 @@ from dupers_ray.functions.hashing import hash_str_u64, mix_rows_u64, node_ids, s
 _P31 = np.uint64((1 << 31) - 1)  # Mersenne prime 2^31-1
 _POLY = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier for shingle rolling hash
 
+# ``\w`` among the ASCII code points: [0-9A-Za-z_]
+_WORD_BYTE = np.zeros(256, bool)
+_WORD_BYTE[[*range(48, 58), *range(65, 91), *range(97, 123), 95]] = True
+_LOWER_BYTE = np.arange(256, dtype=np.uint8)
+_LOWER_BYTE[65:91] += 32
+
+
+def token_hashes(texts, pattern: str, *, lowercase: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(hash uint64 of every token, in document order; token count int64
+    per doc) for ``re.findall(pattern, text.lower() if lowercase else
+    text)`` over each text — a null text has no tokens. ``texts``: an
+    Arrow string column or a list of str/None. A token hashes to
+    ``hash_str_u64`` of its string, once per distinct token.
+
+    ASCII documents are tokenized in numpy over the Arrow offsets and
+    data buffers when ``pattern`` is ``\\w+`` (or ``[a-z0-9_]+`` over
+    lowered text, the same runs on ASCII): a byte table marks word bytes,
+    runs are cut at document boundaries, and the word bytes, mapped
+    through a lowercase table, are the token bytes back to back. Every
+    other document, and every other pattern, takes the ``re`` path: it
+    is the exact reference, since Unicode ``str.lower`` and ``\\w`` are
+    not bytewise (the Kelvin sign lowers to ``k``, final sigma and
+    ``İ`` have their own rules)."""
+    byte_kernel = pattern == r"\w+" or (lowercase and pattern == r"[a-z0-9_]+")
+    arr = _text_array(texts) if byte_kernel else None
+    if arr is None:
+        if isinstance(texts, (pa.Array, pa.ChunkedArray)):
+            texts = texts.to_pylist()
+        return _regex_token_hashes(texts, pattern, lowercase)
+    import pyarrow.compute as pc
+
+    valid = arr.is_valid().to_numpy(zero_copy_only=False)
+    ascii_ = pc.fill_null(pc.string_is_ascii(arr), False).to_numpy(
+        zero_copy_only=False)
+    fast, slow = valid & ascii_, valid & ~ascii_
+    if fast.all():
+        return _ascii_token_hashes(arr, lowercase)
+    parts = [(np.flatnonzero(fast),
+              *_ascii_token_hashes(arr.filter(pa.array(fast)), lowercase)),
+             (np.flatnonzero(slow),
+              *_regex_token_hashes(arr.filter(pa.array(slow)).to_pylist(),
+                                   pattern, lowercase))]
+    counts = np.zeros(len(arr), np.int64)
+    for idx, _, c in parts:
+        counts[idx] = c
+    starts = np.cumsum(counts) - counts
+    tok_h = np.empty(int(counts.sum()), np.uint64)
+    for idx, h, c in parts:
+        # each part's tokens are contiguous per doc: shift doc-by-doc to
+        # the doc's start in the merged order
+        tok_h[np.repeat(starts[idx] - (np.cumsum(c) - c), c)
+              + np.arange(h.size)] = h
+    return tok_h, counts
+
+
+def _text_array(texts) -> "pa.Array | None":
+    """``texts`` as one string/large_string Arrow array, or None when it
+    is not one: another Arrow type, or a list Arrow cannot encode (a lone
+    surrogate)."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = (texts.combine_chunks() if texts.num_chunks
+                 else pa.array([], texts.type))
+    elif not isinstance(texts, pa.Array):
+        try:
+            texts = pa.array(texts, pa.string())
+        except (pa.ArrowException, UnicodeEncodeError):
+            return None
+    if pa.types.is_string(texts.type) or pa.types.is_large_string(texts.type):
+        return texts
+    return None
+
+
+def _ascii_token_hashes(arr: pa.Array, lowercase: bool
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The byte kernel of :func:`token_hashes`: ``arr`` has no nulls and
+    only ASCII text. Memory is O(bytes) in bools, O(tokens) in ints."""
+    import pyarrow.compute as pc
+
+    from dupers_ray.functions.arrowview import value_buffers
+
+    if not len(arr):
+        return np.empty(0, np.uint64), np.zeros(0, np.int64)
+    off, data = value_buffers(arr)
+    base = int(off[0])
+    data = data[base : int(off[-1])]
+    rel = off.astype(np.int64) - base
+    word = _WORD_BYTE[data]
+    nonempty = rel[:-1] < rel[1:]
+    # a run starts at a word byte after a non-word byte or at a doc start,
+    # and ends at a word byte before a non-word byte or at a doc end
+    first = word.copy()
+    first[1:] &= ~word[:-1]
+    doc_first = rel[:-1][nonempty]
+    first[doc_first] = word[doc_first]
+    last = word.copy()
+    last[:-1] &= ~word[1:]
+    doc_last = rel[1:][nonempty] - 1
+    last[doc_last] = word[doc_last]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.searchsorted(starts, rel))
+    if not starts.size:
+        return np.empty(0, np.uint64), counts
+    tok_off = np.zeros(starts.size + 1, np.int64)
+    np.cumsum(np.flatnonzero(last) + 1 - starts, out=tok_off[1:])
+    tok_bytes = data[word]
+    if lowercase:
+        tok_bytes = _LOWER_BYTE[tok_bytes]
+    large = tok_off[-1] > np.iinfo(np.int32).max
+    toks = pa.Array.from_buffers(
+        pa.large_string() if large else pa.string(), starts.size,
+        [None, pa.py_buffer(tok_off if large else tok_off.astype(np.int32)),
+         pa.py_buffer(tok_bytes)],
+    )
+    enc = pc.dictionary_encode(toks)
+    uniq_h = hash_str_u64(enc.dictionary.to_pylist())
+    return uniq_h[enc.indices.to_numpy()], counts
+
+
+def _regex_token_hashes(docs, pattern: str, lowercase: bool
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``re`` path of :func:`token_hashes` over a list of str/None."""
+    findall = re.compile(pattern, re.UNICODE).findall
+    counts = np.empty(len(docs), np.int64)
+    all_toks: list[str] = []
+    ext = all_toks.extend
+    for i, t in enumerate(docs):
+        s = t if t is not None else ""
+        toks = findall(s.lower() if lowercase else s)
+        counts[i] = len(toks)
+        ext(toks)
+    if not all_toks:
+        return np.empty(0, np.uint64), counts
+    # intern at C speed: each UNIQUE token is hashed once
+    codes, uniq = pd.factorize(np.asarray(all_toks, dtype=object), sort=False)
+    return hash_str_u64(list(uniq))[codes], counts
+
+
 
 class MinHasher:
     """map_batches(MinHasher, concurrency=N) — emits one signature row per
@@ -56,7 +201,6 @@ class MinHasher:
         self.cfg = minhash or MinHashConfig()
         self.id_col = id_col
         self.text_col = text_col
-        self.tok = re.compile(self.shingle.token_pattern, re.UNICODE)
         rng = np.random.default_rng(self.cfg.seed)
         # a in [1, p), b in [0, p) — classic universal family
         self.a = rng.integers(1, int(_P31), size=self.cfg.num_perm, dtype=np.uint64)
@@ -64,47 +208,28 @@ class MinHasher:
 
     # ---------------------------------------------------------------- core
 
-    def _shingle_hashes(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _shingle_hashes(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """Returns (flat shingle-hash array uint64, per-doc segment offsets
-        int64 of length len(texts)+1). Docs with 0 tokens get empty segments.
+        int64 of length len(texts)+1). ``texts``: an Arrow string column
+        or a list of str/None. Docs with 0 tokens get empty segments.
 
-        Fully batch-vectorized: tokens are interned through a dict (object
-        argsort via np.unique cost ~0.3ms/doc — the dict is ~10x cheaper),
-        the k-token rolling polynomial runs ONCE over the flattened token
-        array, and per-doc windows are selected with a gather index, so no
-        numpy call is issued per document."""
+        Fully batch-vectorized: :func:`token_hashes` gives every token's
+        hash in document order, the k-token rolling polynomial runs ONCE
+        over that flat array, and per-doc windows are selected with a
+        gather index, so no numpy call is issued per document."""
         k = self.shingle.k
-        counts = np.empty(len(texts), np.int64)
-        findall = self.tok.findall
-        lower = self.shingle.lowercase
-        all_toks: list[str] = []
-        ext = all_toks.extend
-        for i, t in enumerate(texts):
-            s = t if t is not None else ""
-            if lower:
-                s = s.lower()
-            toks = findall(s)
-            counts[i] = len(toks)
-            ext(toks)
-
-        offsets = np.zeros(len(texts) + 1, np.int64)
+        tok_h, counts = token_hashes(
+            texts, self.shingle.token_pattern, lowercase=self.shingle.lowercase
+        )
+        offsets = np.zeros(len(counts) + 1, np.int64)
         np.cumsum(counts, out=offsets[1:])
         n_tok = offsets[-1]
         if n_tok == 0:
             return np.empty(0, np.uint64), offsets
 
-        # intern at C speed: factorize(sort=False) assigns codes in first-
-        # appearance order (same result as a dict-setdefault loop, measured
-        # ~6x cheaper); each UNIQUE token is hashed once
-        codes_arr, uniq = pd.factorize(
-            np.asarray(all_toks, dtype=object), sort=False
-        )
-        uniq_h = hash_str_u64(list(uniq))
-        tok_h = uniq_h[codes_arr]
-
         # shingles per doc: n-k+1 for n>=k, 1 for 0<n<k (whole-doc shingle)
         m = np.where(counts >= k, counts - k + 1, np.minimum(counts, 1))
-        sh_offsets = np.zeros(len(texts) + 1, np.int64)
+        sh_offsets = np.zeros(len(counts) + 1, np.int64)
         np.cumsum(m, out=sh_offsets[1:])
         total = int(sh_offsets[-1])
         flat_sh = np.empty(total, np.uint64)
@@ -149,9 +274,10 @@ class MinHasher:
 
         return flat_sh, sh_offsets
 
-    def signatures(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def signatures(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """(sig matrix uint32 of shape (num_docs_with_content, num_perm),
-        n_shingles int64 per input doc — 0 marks 'no signature row')."""
+        n_shingles int64 per input doc — 0 marks 'no signature row').
+        ``texts``: an Arrow string column or a list of str/None."""
         flat_sh, offsets = self._shingle_hashes(texts)
         n_sh = np.diff(offsets)
         keep = n_sh > 0
@@ -220,25 +346,14 @@ class MinHasher:
     # ------------------------------------------------------------- stage fn
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_pylist()
-        texts = batch.column(self.text_col).to_pylist()
-        sig, n_sh = self.signatures(texts)
+        sig, n_sh = self.signatures(batch.column(self.text_col))
         keep = n_sh > 0
-        kept_ids = [i for i, k in zip(ids, keep) if k]
-        nodes = node_ids([str(i) for i in kept_ids])
-        # sig stored as binary (num_perm little-endian uint32s, or uint16
-        # folds under cfg.sig_store="u2"): Arrow hash joins support binary
-        # payloads but NOT (fixed_size_)list ones, and binary survives
-        # pandas/parquet round-trips without object dtype
-        sig_le = pack_sig(sig, self.cfg.sig_store)
-        sig_bytes = pa.array(
-            [sig_le[i].tobytes() for i in range(sig_le.shape[0])], pa.binary()
-        )
+        kept_ids = batch.column(self.id_col).filter(pa.array(keep)).to_pylist()
         return pa.table(
             {
                 self.id_col: pa.array(kept_ids),
-                "node": pa.array(nodes),
-                "sig": sig_bytes,
+                "node": pa.array(node_ids([str(i) for i in kept_ids])),
+                "sig": sig_column(sig, keep[keep], self.cfg.sig_store),
                 "n_shingles": pa.array(n_sh[keep].astype(np.int64)),
             }
         )
@@ -250,6 +365,28 @@ def pack_sig(sig: np.ndarray, sig_store: str) -> np.ndarray:
     if sig_store == "u2":
         return np.ascontiguousarray((sig & np.uint32(0xFFFF)).astype("<u2"))
     return np.ascontiguousarray(sig.astype("<u4"))
+
+
+def sig_column(sig: np.ndarray, keep: np.ndarray, sig_store: str) -> pa.Array:
+    """The stored ``sig`` column of a batch: row i holds the packed
+    (:func:`pack_sig`) signature of the i-th ``keep`` row, a ``keep=False``
+    row is null. Stored as binary: Arrow hash joins support binary payloads
+    but NOT (fixed_size_)list ones, and binary survives pandas/parquet
+    round-trips without object dtype. Built from one buffer, no per-row
+    Python."""
+    n = len(keep)
+    if not sig.shape[0]:
+        return pa.nulls(n, pa.binary())
+    packed = pack_sig(sig, sig_store)
+    offsets = np.zeros(n + 1, np.int32)
+    np.cumsum(keep * (packed.shape[1] * packed.dtype.itemsize), out=offsets[1:])
+    valid = (None if keep.all()
+             else pa.py_buffer(np.packbits(keep, bitorder="little").tobytes()))
+    return pa.Array.from_buffers(
+        pa.binary(), n,
+        [valid, pa.py_buffer(offsets), pa.py_buffer(packed.tobytes())],
+        null_count=int(n - keep.sum()),
+    )
 
 
 def sig_matrix(col, num_perm: int) -> np.ndarray:

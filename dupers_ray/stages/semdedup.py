@@ -213,5 +213,4 @@ def semantic_dedup(
         tagged, "cell",
         functools.partial(_prune_cell, id_col=id_col, emb_col=emb_col,
                           threshold=threshold, block_rows=block_rows),
-        num_keys=n_clusters,
     )

@@ -14,7 +14,6 @@ cosine-ish similarity), MinHash estimates set Jaccard.
 from __future__ import annotations
 
 import logging
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -22,7 +21,7 @@ import pyarrow as pa
 import ray.data
 
 from dupers_ray.config import SimHashConfig
-from dupers_ray.functions.hashing import hash_str_u64, splitmix64
+from dupers_ray.functions.hashing import splitmix64
 from dupers_ray.functions.pairs import run_starts, segment_pairs
 
 
@@ -44,8 +43,8 @@ def simhash_batch(
     from dupers_ray.functions.hashing import node_ids
 
     ids = batch.column(id_col).to_pylist()
-    texts = batch.column(text_col).to_pylist()
-    sig_all, counts = simhash_values(texts, token_pattern=token_pattern)
+    sig_all, counts = simhash_values(batch.column(text_col),
+                                     token_pattern=token_pattern)
 
     keep = counts > 0
     kept_ids = [i for i, k in zip(ids, keep) if k]
@@ -69,29 +68,23 @@ def simhash_batch(
 
 
 def simhash_values(
-    texts: list, *, token_pattern: str = r"[a-z0-9_]+"
+    texts, *, token_pattern: str = r"[a-z0-9_]+"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(simhash: uint64[n], n_tokens: int64[n]) for a list of texts —
-    the batch-kernel core shared by :func:`simhash_batch` and the tiers
-    fused scan (one-corpus-pass Venn, round-3 verdict #5). Token-less
-    docs get simhash 0 and n_tokens 0; callers filter on n_tokens."""
-    tok = re.compile(token_pattern, re.UNICODE)
-    vocab: dict[str, int] = {}
-    sd = vocab.setdefault
-    codes: list[int] = []
-    counts = np.empty(len(texts), np.int64)
-    for i, t in enumerate(texts):
-        toks = tok.findall((t or "").lower())
-        counts[i] = len(toks)
-        codes.extend(sd(w, len(vocab)) for w in toks)
+    """(simhash: uint64[n], n_tokens: int64[n]) for an Arrow string column
+    or a list of texts — the batch-kernel core shared by
+    :func:`simhash_batch` and the tiers fused scan (one-corpus-pass Venn,
+    round-3 verdict #5). Tokens are ``token_pattern`` matches over the
+    lowered text (``minhash.token_hashes``: ASCII docs take its byte
+    kernel). Token-less docs get simhash 0 and n_tokens 0; callers filter
+    on n_tokens."""
+    from dupers_ray.stages.minhash import token_hashes
 
-    sig_all = np.zeros(len(texts), np.uint64)
+    tok_h, counts = token_hashes(texts, token_pattern, lowercase=True)
+    sig_all = np.zeros(len(counts), np.uint64)
     keep = counts > 0
     if not keep.any():
         return sig_all, counts
 
-    uniq_h = hash_str_u64(list(vocab.keys()))
-    tok_h = uniq_h[np.fromiter(codes, np.int64, count=int(counts.sum()))]
     # per-token bit matrix via unpackbits on the little-endian byte view
     # (bit b of the hash lands in column b) — measured 2.2x cheaper than
     # the 64-column shift-and-mask expansion; ±1 vote sums recover as
@@ -101,7 +94,7 @@ def simhash_values(
         .reshape(-1, 8),
         axis=1, bitorder="little",
     ).astype(np.int32)
-    offsets = np.zeros(len(texts) + 1, np.int64)
+    offsets = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
     starts = offsets[:-1][keep]
     sums = 2 * np.add.reduceat(bits, starts, axis=0) - counts[keep][:, None]

@@ -76,7 +76,7 @@ def test_coalesced_map_groups_exact():
         return pa.table({"__part": g.column("__part")[:1],
                          "s": [pc.sum(g.column("v")).as_py()]})
 
-    out = coalesced_map_groups(ds, "__part", f, num_keys=64).materialize()
+    out = coalesced_map_groups(ds, "__part", f).materialize()
     got = out.to_pandas().sort_values("__part").reset_index(drop=True)
     exp = (
         tbl.to_pandas().groupby("__part", as_index=False)["v"].sum()
@@ -223,7 +223,6 @@ def test_single_key_group_map_emits_typed_blocks():
         rd.from_arrow(one_key), "k",
         lambda g: pa.table({"k": g.column("k")[:1],
                             "s": [pc.sum(g.column("v")).as_py()]}),
-        num_keys=1,
     ))
     assert out.to_pylist() == [{"k": 5, "s": 6}]
 
@@ -602,10 +601,10 @@ def test_group_fn_output_schema_does_not_depend_on_rows(site, monkeypatch):
     real = grouping.coalesced_map_groups
     calls = []
 
-    def spy(ds, key, fn, *, num_keys):
+    def spy(ds, key, fn):
         ds = ds.materialize()
         calls.append((ds, fn))
-        return real(ds, key, fn, num_keys=num_keys)
+        return real(ds, key, fn)
 
     monkeypatch.setattr(grouping, "coalesced_map_groups", spy)
     out = _contract_sites()[site]()
@@ -736,6 +735,45 @@ def test_group_routes_agree(case, force_exchange):
     assert calls["sort"]
 
 
+def _skewed_shapes() -> dict:
+    rng = np.random.default_rng(0)
+    return {
+        # a band map's shape: 2000 rows over 252 ids, one id holding most
+        "hot_id": np.concatenate([np.full(1749, 7), np.arange(1000, 1251)]),
+        # a cluster map's shape: 421 rows over only 12 ids
+        "few_ids": rng.integers(0, 12, 421),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_skewed_shapes()))
+def test_sort_route_emits_no_schema_less_block(shape, force_exchange):
+    """Skewed small inputs on the sort exchange: every output block is
+    typed with ``fn``'s schema (Ray's sampled boundaries leave empty
+    ranges here, and an empty range was a schema-less block), and every
+    key is grouped exactly once."""
+    keys = _skewed_shapes()[shape]
+    calls = force_exchange()
+    ds = rd.from_arrow(pa.table({"k": pa.array(keys, pa.int64()),
+                                 "v": pa.array(np.arange(len(keys)))})
+                       ).repartition(8)
+
+    def f(g: pa.Table) -> pa.Table:
+        return pa.table({"k": g.column("k")[:1],
+                         "n": pa.array([g.num_rows], pa.int64())})
+
+    out = coalesced_map_groups(ds, "k", f).materialize()
+    assert calls["sort"] == 1
+    blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    assert blocks and all(
+        isinstance(b, pa.Table) and b.schema.names == ["k", "n"]
+        for b in blocks)
+    got = pa.concat_tables(blocks).sort_by("k")
+    uniq, n = np.unique(keys, return_counts=True)
+    assert got.column("k").to_pylist() == uniq.tolist()
+    assert got.column("n").to_pylist() == n.tolist()
+
+
 def test_one_task_route_empty_input_is_typed():
     """A 0-row input with a schema gives the group function's typed 0-row
     output, not an empty schema-less Dataset."""
@@ -743,7 +781,7 @@ def test_one_task_route_empty_input_is_typed():
 
     out = to_arrow_table(coalesced_map_groups(
         rd.from_arrow(_fused_projection().slice(0, 0)), "norm_u64",
-        partial(_resolve_exact_norm, id_col="doc_id"), num_keys=64))
+        partial(_resolve_exact_norm, id_col="doc_id")))
     assert out.num_rows == 0
     assert out.schema.names == ["doc_id", "r_exact", "r_norm"]
     assert out.schema.types == [pa.int64(), pa.bool_(), pa.bool_()]
