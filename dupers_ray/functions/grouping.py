@@ -21,32 +21,26 @@ also when it has 0 rows (a partition with no pairs, no duplicates, no
 survivors). One output schema per operator keeps block concatenation,
 unions and ``to_arrow_refs`` consumers independent of block layout.
 
-Two routes. :func:`coalesced_map_groups` materializes its input and reads
-the input's byte size from block metadata. At most
+Two routes. :func:`coalesced_map_groups` materializes its input and
+reads the input's byte size from block metadata. At most
 :data:`LOCAL_GROUP_BYTES`: ONE Ray task concatenates the blocks, sorts
 them by key and calls ``fn`` per key value, and its one Arrow block is
-the output — a sort exchange's fixed costs (sample, map, reduce tasks)
-dominate small inputs, and grouping a few MB in one task is cheaper than
-scheduling them. Above the limit: Ray's sort exchange, on a reducer id.
-The hash partitioner is :func:`_partition_ids` (the vectorized string
-hash for string columns, one 64-bit mix for everything else).
-``repartition(keys=...)``/hash shuffle is not used: it reserves CPUs per
-operator and deadlocks chained operators on small clusters.
-
-The layout rule of the sort route: the input's rows per distinct key are
-counted first (one task per block), and the sorted keys are cut into
-``min(2·CPUs, distinct keys)`` contiguous ranges of about equal row
-counts, each holding at least one key; every row is tagged with its
-range's reducer id and the sort partitions on that id with explicit
-boundaries. Ray's own sampled boundaries duplicate when reducers approach
-the distinct-key count or one key holds most rows, and the empty ranges
-materialize as schema-less blocks (`RefBundle with a different schema`
-warnings, a schema hazard for downstream unions and block
-concatenation); exact ranges leave no reducer empty. Each reducer's block
-is then grouped by one Ray task like the one-task route's input, so both
-routes call ``fn`` the same way, and 0-row outputs are dropped unless
-every output is empty (a Ray Data map turns a 0-row block into a
-schema-less one).
+the output — an exchange's fixed costs (split and reduce tasks) dominate
+small inputs, and grouping a few MB in one task is cheaper than
+scheduling them. Above the limit: an exchange of plain Ray tasks. Each
+input block is split into ``min(2·CPUs, rows)`` typed parts by the hash
+of its key (:func:`_partition_ids`: the vectorized string hash for
+string columns, one 64-bit mix for everything else), and each reducer
+that got rows concatenates its parts and groups them with the one-task
+route's function, so both routes call ``fn`` the same way. Ray Data's
+operators are kept out of it: ``repartition(keys=...)``/hash shuffle
+reserves CPUs per operator and deadlocks chained operators on small
+clusters, a range sort's sampled boundaries duplicate on skewed or few
+keys and leave schema-less empty ranges, and a map turns a 0-row block,
+typed or not, into a schema-less one (`RefBundle with a different
+schema` warnings, a schema hazard for downstream unions and block
+concatenation). 0-row reducer outputs are dropped unless every output is
+empty.
 """
 
 from __future__ import annotations
@@ -65,7 +59,7 @@ from dupers_ray.functions.pairs import run_starts
 DEFAULT_GROUP_PARTITIONS = 256
 
 # Inputs of at most this many bytes (block metadata) are grouped by one
-# Ray task instead of the sort exchange. Read at call time (never bound as
+# Ray task instead of the exchange. Read at call time (never bound as
 # a default argument), so one assignment moves every group map; 0 sends
 # every non-empty input through the exchange.
 LOCAL_GROUP_BYTES = 32 << 20
@@ -73,15 +67,14 @@ LOCAL_GROUP_BYTES = 32 << 20
 _PART = "__part"
 _SIDE = "__side"
 _RIGHT = "__r."  # prefix of right-side columns inside a cogroup
-_REDUCER = "__reducer"  # a row's reducer on the sort route
 
 
-def _num_reducers(distinct_keys: int) -> int:
+def _num_reducers(rows: int) -> int:
     try:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 — no Ray session to ask
         ncpu = 8
-    return max(1, min(2 * ncpu, distinct_keys))
+    return max(1, min(2 * ncpu, rows))
 
 
 def coalesced_map_groups(
@@ -93,7 +86,7 @@ def coalesced_map_groups(
     value. The input is materialized; at most :data:`LOCAL_GROUP_BYTES`
     of it is grouped by one task (a 0-row input with a schema gives
     ``fn``'s typed 0-row output, a schema-less one stays empty), more
-    goes through the sort exchange."""
+    goes through the exchange."""
     ds = ds.materialize()
     rows = ds.count()
     if not rows and ds.schema() is None:
@@ -102,73 +95,49 @@ def coalesced_map_groups(
             for ref, meta in bundle.blocks if meta.num_rows != 0 or not rows]
     size = ds.size_bytes()
     if rows and (size is None or size > LOCAL_GROUP_BYTES):
-        return _sort_map_groups(refs, key, fn)
+        return _exchange_map_groups(refs, rows, key, fn)
     return ray.data.from_arrow_refs(_local_map_groups.remote(key, fn, *refs))
 
 
-def _sort_map_groups(refs: list, key: str, fn) -> "ray.data.Dataset":
-    """The sort exchange over the non-empty input blocks ``refs``, under
-    the layout rule: exact key ranges, one reducer each."""
-    counts = pa.concat_tables(
-        ray.get([_key_counts.remote(key, ref) for ref in refs]),
-        promote_options="permissive",
-    ).group_by(key).aggregate([("n", "sum")]).sort_by(key)
-    n = counts.column("n_sum").to_numpy()
-    cut = (np.cumsum(n) - n) * _num_reducers(len(n)) // n.sum()
-    reducer = np.unique(cut, return_inverse=True)[1]
-    n_red = int(reducer[-1]) + 1
-    keys = ray.put(counts.column(key).combine_chunks())
-    reducer_ref = ray.put(reducer)
-    tagged = [_tag_reducer.remote(key, keys, reducer_ref, ref) for ref in refs]
-    parts = (
-        ray.data.from_arrow_refs(tagged)
-        .repartition(n_red)
-        .sort(_REDUCER, boundaries=list(range(1, n_red)))
-        .materialize()
-    )
-    # one task per reducer block, outside Ray Data's map operator, and
-    # 0-row outputs dropped unless all are: a map turns a 0-row block,
-    # typed or not, into a schema-less one
+def _exchange_map_groups(refs: list, rows: int, key: str,
+                         fn) -> "ray.data.Dataset":
+    """The exchange over the non-empty input blocks ``refs`` (``rows``
+    rows): every block is split by reducer, and each reducer with rows
+    groups its parts in one task."""
+    n = _num_reducers(rows)
+    split = [_split_block.options(num_returns=n + 1).remote(key, n, ref)
+             for ref in refs]
+    # a reducer needs every split anyway, so waiting for the row counts
+    # costs no overlap
+    counts = np.sum(ray.get([s[0] for s in split]), axis=0)
     out = ray.data.from_arrow_refs([
-        _reducer_map_groups.remote(key, fn, ref)
-        for bundle in parts.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks if meta.num_rows])
+        _local_map_groups.remote(key, fn, *(s[i + 1] for s in split))
+        for i in np.flatnonzero(counts)])
+    # 0-row outputs are dropped unless all are: the reducers run outside
+    # Ray Data's map operator, which turns a 0-row block, typed or not,
+    # into a schema-less one
     blocks = [(ref, meta.num_rows) for bundle in out.iter_internal_ref_bundles()
               for ref, meta in bundle.blocks]
     return ray.data.from_arrow_refs(
-        [ref for ref, rows in blocks if rows] or [blocks[0][0]])
+        [ref for ref, n in blocks if n] or [blocks[0][0]])
 
 
 @ray.remote
-def _key_counts(key: str, block) -> pa.Table:
-    """(key, n): rows per distinct ``key`` value of one block."""
+def _split_block(key: str, n: int, block) -> list:
+    """One block cut into ``n`` typed parts, part ``i`` holding the rows
+    whose key hashes to reducer ``i``, after the parts' row counts."""
     t = BlockAccessor.for_block(block).to_arrow()
-    return t.group_by(key).aggregate([([], "count_all")]).rename_columns(
-        [key, "n"])
-
-
-@ray.remote
-def _tag_reducer(key: str, keys: pa.Array, reducer: np.ndarray,
-                 block) -> pa.Table:
-    """One block with its rows' reducer ids appended: ``reducer[i]`` for
-    a row whose key is ``keys[i]`` (a null key matches the null entry)."""
-    t = BlockAccessor.for_block(block).to_arrow()
-    idx = pc.index_in(t.column(key), value_set=keys)
-    return t.append_column(
-        _REDUCER, pa.array(reducer[idx.to_numpy(zero_copy_only=False)]))
-
-
-@ray.remote
-def _reducer_map_groups(key: str, fn, block) -> pa.Table:
-    """One reducer's block of the sort route: every row of its keys,
-    grouped."""
-    t = BlockAccessor.for_block(block).to_arrow()
-    return _map_sorted_groups(t.drop_columns([_REDUCER]), key, fn)
+    part = _partition_ids(t, [key], n)
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(n + 1))
+    return [np.diff(bounds), *(t.take(order[bounds[i]:bounds[i + 1]])
+                               for i in range(n))]
 
 
 @ray.remote
 def _local_map_groups(key: str, fn, *blocks) -> pa.Table:
-    """The one-task route: every block, grouped in one table."""
+    """Every block, grouped in one table: the whole input on the one-task
+    route, one reducer's parts on the exchange."""
     return _map_sorted_groups(pa.concat_tables(
         [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
          if t.num_columns],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,14 +31,6 @@ MERSENNE61 = np.uint64((1 << 61) - 1)
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_hex_many(items: Iterable[bytes]) -> list[str]:
-    """SHA-256 hex per item. hashlib releases the GIL per call and runs at
-    C speed; the per-row Python loop is unavoidable and not the bottleneck
-    (the digest itself dominates)."""
-    sha = hashlib.sha256
-    return [sha(b).hexdigest() for b in items]
 
 
 def sha256_digests(col) -> np.ndarray:

@@ -25,7 +25,7 @@ Scale shape — ONE text scan, then id-width group maps:
   resolutions happen per partition and no intermediate anti-join exists.
   Like every group map (functions/grouping.py) it runs as one Ray task
   while its input is at most ``grouping.LOCAL_GROUP_BYTES`` (some 800 k
-  40-byte rows), and as a sort exchange above that.
+  40-byte rows), and as a task exchange above that.
 - the survivor filter before the near tier is ``maintenance.anti_join_auto``
   on the removed-id set (duplicates only): broadcast while it is small,
   the hash-partitioned anti-join for massively duplicated corpora — the

@@ -28,7 +28,7 @@ Determinism contract (restated verbatim by the SQL oracle):
 Vectorization: the rolling fold runs ONCE over the batch's concatenated
 byte buffer (windows crossing document boundaries are masked), so the
 only per-chunk Python is the md5 call itself (C speed, same precedent
-as hashing.sha256_hex_many).
+as hashing.sha256_digests).
 """
 
 from __future__ import annotations

@@ -67,20 +67,20 @@ def force_cogroup(monkeypatch):
 
 @pytest.fixture
 def force_exchange(monkeypatch):
-    """Call to push every group map onto the sort exchange
+    """Call to push every group map onto the exchange
     (``grouping.LOCAL_GROUP_BYTES = 0``). Returns the call count of the
-    sort route, ``calls["sort"]``, so a test can prove the exchange ran
+    exchange, ``calls["exchange"]``, so a test can prove it ran
     instead of comparing the one-task route with itself."""
     from dupers_ray.functions import grouping
 
     def apply() -> dict:
-        calls = {"sort": 0}
+        calls = {"exchange": 0}
 
-        def sort_spy(*a, _real=grouping._sort_map_groups, **k):
-            calls["sort"] += 1
+        def exchange_spy(*a, _real=grouping._exchange_map_groups, **k):
+            calls["exchange"] += 1
             return _real(*a, **k)
 
-        monkeypatch.setattr(grouping, "_sort_map_groups", sort_spy)
+        monkeypatch.setattr(grouping, "_exchange_map_groups", exchange_spy)
         monkeypatch.setattr(grouping, "LOCAL_GROUP_BYTES", 0)
         return calls
 

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dupers_ray.functions.hashing import (
+    digest_hex,
     hash_str_u64,
     hex_prefix_u64,
     mix_rows_u64,
     node_ids,
-    sha256_hex_many,
+    sha256_digests,
     splitmix64,
 )
 from dupers_ray.stages.digest import add_digests, drop_empty
@@ -31,12 +32,16 @@ GOLDEN_TEXT = b"test content for duplicate detection"
 GOLDEN_SHA = hashlib.sha256(GOLDEN_TEXT).hexdigest()
 
 
+def _hex(items: list[bytes]) -> list[str]:
+    return digest_hex(sha256_digests(pa.array(items, pa.binary()))).to_pylist()
+
+
 def test_golden_digest():
     # pinned literal so a hashing regression can't self-confirm
     assert GOLDEN_SHA == (
         "0256115809fe11d8c545579e9831754230d6558613f9f9e31d610098ff25b71e"
     )
-    assert sha256_hex_many([GOLDEN_TEXT]) == [GOLDEN_SHA]
+    assert _hex([GOLDEN_TEXT]) == [GOLDEN_SHA]
 
 
 def test_add_digests_batch():
@@ -64,8 +69,8 @@ def test_drop_empty():
 @settings(max_examples=50, deadline=None)
 @given(st.binary(min_size=1, max_size=200))
 def test_digest_properties(data):
-    h1 = sha256_hex_many([data])[0]
-    h2 = sha256_hex_many([data])[0]
+    h1 = _hex([data])[0]
+    h2 = _hex([data])[0]
     assert h1 == h2 and len(h1) == 64 and int(h1, 16) != 0
 
 

@@ -4,7 +4,7 @@ Every layer must give the same answer whatever the input block layout:
 one block, Ray's default split, or a shredded layout of one-row and empty
 blocks (the layout that split a join group in the round-5 recrawl_queue
 red) — and on both routes: small test inputs take the one-task route,
-``TestSortExchange`` reruns the layout tests on the sort exchange.
+``TestSortExchange`` reruns the layout tests on the exchange route.
 Expected values come from driver-side pandas / pyarrow.
 """
 from __future__ import annotations
@@ -660,14 +660,14 @@ def test_small_keyed_group_map_emits_no_schema_less_block():
 def exchange_only(force_exchange):
     calls = force_exchange()
     yield
-    assert calls["sort"], "the sort exchange never ran"
+    assert calls["exchange"], "the exchange never ran"
 
 
 @pytest.mark.usefixtures("exchange_only")
 class TestSortExchange:
     """The layout tests above, rerun with ``LOCAL_GROUP_BYTES = 0``: every
-    group map goes through the sort exchange, whose layout rule they
-    pin (typed blocks, no empty sort ranges)."""
+    group map goes through the exchange, whose layout they pin (typed
+    blocks, no schema-less empty block)."""
 
     test_coalesced_map_groups_exact = staticmethod(
         test_coalesced_map_groups_exact)
@@ -703,6 +703,8 @@ def _route_cases() -> dict:
     fused = _fused_projection()
     nulls = pa.table({"k": pa.array([1, None, None, 2, 2, 3], pa.int64()),
                       "v": pa.array([None, 3, 4, 5, None, None], pa.int64())})
+    strings = pa.table({"k": ["a", None, "b", "b", None, "c"] * 20,
+                        "v": np.arange(120)})
     right = pa.table({"id": pa.array([0, 0, 3, 3, 3, 9, 40], pa.int64()),
                       "rv": pa.array(np.arange(7) + 100, pa.int64())})
 
@@ -716,6 +718,10 @@ def _route_cases() -> dict:
         "aggregate_null_key": lambda: partitioned_aggregate(
             rd.from_arrow(_shredded(nulls)), "k", sums=("v",),
             num_partitions=4),
+        "null_string_key": lambda: coalesced_map_groups(
+            split(strings), "k", lambda g: pa.table({
+                "k": g.column("k")[:1],
+                "n": pa.array([g.num_rows], pa.int64())})),
         "join_inner": lambda: cogroup_join(
             rd.from_arrow(_LEFT), rd.from_arrow(_shredded(right)), on="id"),
         "join_left": lambda: cogroup_join(
@@ -726,13 +732,13 @@ def _route_cases() -> dict:
 
 @pytest.mark.parametrize("case", sorted(_route_cases()))
 def test_group_routes_agree(case, force_exchange):
-    """The one-task route and the sort exchange return the same row
+    """The one-task route and the exchange return the same row
     multiset."""
     one_task = _rows(_route_cases()[case]())
     assert one_task
     calls = force_exchange()
     assert _rows(_route_cases()[case]()) == one_task
-    assert calls["sort"]
+    assert calls["exchange"]
 
 
 def _skewed_shapes() -> dict:
@@ -747,10 +753,10 @@ def _skewed_shapes() -> dict:
 
 @pytest.mark.parametrize("shape", sorted(_skewed_shapes()))
 def test_sort_route_emits_no_schema_less_block(shape, force_exchange):
-    """Skewed small inputs on the sort exchange: every output block is
-    typed with ``fn``'s schema (Ray's sampled boundaries leave empty
-    ranges here, and an empty range was a schema-less block), and every
-    key is grouped exactly once."""
+    """Skewed small inputs on the exchange: every output block is typed
+    with ``fn``'s schema (a range sort's sampled boundaries left empty
+    ranges here, each a schema-less block), and every key is grouped
+    exactly once."""
     keys = _skewed_shapes()[shape]
     calls = force_exchange()
     ds = rd.from_arrow(pa.table({"k": pa.array(keys, pa.int64()),
@@ -762,7 +768,7 @@ def test_sort_route_emits_no_schema_less_block(shape, force_exchange):
                          "n": pa.array([g.num_rows], pa.int64())})
 
     out = coalesced_map_groups(ds, "k", f).materialize()
-    assert calls["sort"] == 1
+    assert calls["exchange"] == 1
     blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
               for ref, _ in bundle.blocks]
     assert blocks and all(
