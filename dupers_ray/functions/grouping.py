@@ -136,18 +136,13 @@ def _split_block(key: str, n: int, block) -> list:
 
 @ray.remote
 def _local_map_groups(key: str, fn, *blocks) -> pa.Table:
-    """Every block, grouped in one table: the whole input on the one-task
-    route, one reducer's parts on the exchange."""
-    return _map_sorted_groups(pa.concat_tables(
+    """Every block (the whole input on the one-task route, one reducer's
+    parts on the exchange), sorted by ``key``, ``fn`` once per key value
+    (a null key is one group), one output table."""
+    t = pa.concat_tables(
         [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
          if t.num_columns],
-        promote_options="permissive"), key, fn)
-
-
-def _map_sorted_groups(t: pa.Table, key: str, fn) -> pa.Table:
-    """``t`` sorted by ``key``, ``fn`` once per key value (a null key is
-    one group), one output table; a 0-row ``t`` gives ``fn``'s typed
-    0-row output."""
+        promote_options="permissive")
     if not t.num_rows:
         return fn(t)
     t = t.sort_by(key)
